@@ -76,8 +76,9 @@ fn main() {
     let started = Instant::now();
     let report = if std::env::var("PROBE_MEM").is_ok() {
         // Per-component heap accounting at end of run (diagnostics).
-        let mut sim =
-            whatsup_sim::Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, sim_cfg.clone());
+        let mut sim = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
+            .config(sim_cfg.clone())
+            .build();
         eprintln!(
             "after sim build:   standing {:>8.1} MiB",
             status_mb("VmRSS:")

@@ -21,7 +21,7 @@
 //!
 //! Mailbox bundles are the simulator's shard-exchange unit: a batch of
 //! addressed single-message frames, concatenated in `(sender, emission
-//! order)` order by the emitting shard. Bundles travel over pipes,
+//! order)` order by the emitting shard. Bundles travel over in-process
 //! channels and the shard-exchange TCP sockets — not UDP — so
 //! [`MAX_FRAME`] applies to single-message frames only, and bundles never
 //! nest.
@@ -216,7 +216,7 @@ pub fn encode_into(
 
 /// Encodes a mailbox bundle from shard `from_shard`: every `(to, from,
 /// payload)` triple as an embedded single-message frame, in the given
-/// order. No [`MAX_FRAME`] cap — bundles travel pipes/channels, and each
+/// order. No [`MAX_FRAME`] cap — bundles travel channels/sockets, and each
 /// embedded message stays individually datagram-sized by construction of
 /// the protocol.
 pub fn encode_bundle(

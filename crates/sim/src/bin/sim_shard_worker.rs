@@ -2,35 +2,35 @@
 //! engine.
 //!
 //! ```text
-//! sim-shard-worker                      # stdio mode (spawned by the driver)
-//! sim-shard-worker --listen <addr>      # socket mode (started before the driver)
+//! sim-shard-worker --listen <host:port>
 //! ```
 //!
-//! Both modes speak the same conversation (see
-//! `whatsup_sim::engine::exchange::stream`): the worker sends a versioned
+//! The worker binds `<addr>` (port `0` picks a free one), prints
+//! `LISTEN <actual-addr>` on stdout so launchers can discover the port,
+//! serves exactly one driver connection, and exits — workers never outlive
+//! their run. The conversation is the one in
+//! `whatsup_sim::engine::exchange::stream`: the worker sends a versioned
 //! hello, the driver answers with a handshake frame carrying this shard's
 //! `ShardInit`, then one reply frame per command frame until `Stop`.
 //!
-//! In socket mode the worker binds `<addr>` (`host:port`; port `0` picks a
-//! free one), prints `LISTEN <actual-addr>` on stdout so launchers can
-//! discover the port, serves exactly one driver connection, and exits —
-//! workers never outlive their run. Start the workers first, then the
-//! driver (`whatsup-sim run … --transport socket --workers addr,…`).
+//! Workers are either spawned by the driver itself (`whatsup-sim run …
+//! --multiprocess <worker>` starts one `--listen 127.0.0.1:0` child per
+//! shard and dials it over loopback) or started by hand, possibly on other
+//! machines, before the driver dials them (`whatsup-sim run …
+//! --transport socket --workers addr,…`).
 //!
 //! Exit status: `0` after an orderly `Stop`; `1` with a one-line stderr
 //! message when the driver vanishes mid-run (EOF/broken pipe) or the
-//! handshake fails; `2` for bad usage. A killed driver must never leave a
-//! panic backtrace here.
+//! handshake fails; `2` for bad usage (including no arguments). A killed
+//! driver must never leave a panic backtrace here.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
-use whatsup_sim::engine::exchange::stream::{
-    accept_handshake, run_worker, serve_stream, HANDSHAKE_TIMEOUT,
-};
+use whatsup_sim::engine::exchange::stream::{accept_handshake, serve_stream, HANDSHAKE_TIMEOUT};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: sim-shard-worker [--listen <host:port>]");
+    eprintln!("usage: sim-shard-worker --listen <host:port>");
     ExitCode::from(2)
 }
 
@@ -42,26 +42,13 @@ fn fail(err: impl std::fmt::Display) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [] => serve_stdio(),
-        [flag, addr] if flag == "--listen" => serve_socket(addr),
+        [flag, addr] if flag == "--listen" => serve(addr),
         _ => usage(),
     }
 }
 
-/// Stdio mode: the driver is the parent process, frames ride the pipes.
-fn serve_stdio() -> ExitCode {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = BufReader::new(stdin.lock());
-    let mut output = BufWriter::new(stdout.lock());
-    match run_worker(&mut input, &mut output) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(e),
-    }
-}
-
-/// Socket mode: bind, announce, serve one driver connection, exit.
-fn serve_socket(addr: &str) -> ExitCode {
+/// Bind, announce, serve one driver connection, exit.
+fn serve(addr: &str) -> ExitCode {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
         Err(e) => return fail(format_args!("cannot listen on {addr}: {e}")),

@@ -21,17 +21,20 @@
 //!   series and the scenario's resolved measurement windows (recovery
 //!   table included). Reports are a pure function of the file:
 //!   bit-identical across `--shards` values and across the in-process,
-//!   child-process and socket transports. `--transport socket` dials
-//!   already-running `sim-shard-worker --listen` processes, one address
-//!   per shard, in shard order — start the workers first, then the driver
+//!   spawned-worker and socket transports. `--multiprocess <worker>`
+//!   spawns one `<worker> --listen 127.0.0.1:0` process per shard and
+//!   dials it over loopback. `--transport socket` dials already-running
+//!   `sim-shard-worker --listen` processes, one address per shard, in
+//!   shard order — start the workers first, then the driver
 //!   (see the engine module docs' "distributed topology" section). With an
 //!   explicit `--shards N`, N must equal the worker count — a mismatch is
 //!   a usage error caught before any dialing. `--supervise` (external
 //!   transports only) turns worker crashes and hangs into checkpoint/replay
 //!   recoveries: every `--checkpoint-every` cycles (default 5) each shard's
-//!   state is snapshotted, and a failed worker is restarted — respawned
-//!   child, or redialed address once a replacement listener takes it over —
-//!   up to `--max-restarts` times per shard (default 3), with the run's
+//!   state is snapshotted, and a failed worker is restarted — respawned on
+//!   a fresh port if the driver spawned it, or redialed once a replacement
+//!   listener takes its address over — up to `--max-restarts` times per
+//!   shard (default 3), with the run's
 //!   report staying bit-identical to an undisturbed one (see the engine
 //!   module docs' "supervision & recovery" section). `--protocol
 //!   anti-entropy` overrides the file's protocol with the scuttlebutt

@@ -15,8 +15,10 @@ pub enum Transport {
     /// inline without serialization).
     #[default]
     InProcess,
-    /// `sim-shard-worker` child processes at this binary path, frames
-    /// over stdio pipes.
+    /// Local `sim-shard-worker` processes at this binary path: the driver
+    /// spawns one `--listen 127.0.0.1:0` child per shard and dials it, so
+    /// frames travel over loopback TCP exactly as with
+    /// [`Transport::Socket`]. The driver owns (and reaps) the children.
     Process(PathBuf),
     /// Already-listening `sim-shard-worker --listen` processes, frames
     /// over TCP. One `host:port` address per shard, in shard order — the

@@ -6,13 +6,14 @@
 //! phase is a command to the shards and a fold of their replies, in shard
 //! order (= node-id order, since shard ranges are contiguous ascending).
 //! That is what lets the same `run_cycle` drive the inline single-shard
-//! path, the in-process channel workers, the `sim-shard-worker` child
-//! processes and remote socket workers to bit-identical reports.
+//! path, the in-process channel workers, and `sim-shard-worker` processes
+//! — spawned locally or remote — to bit-identical reports.
 
-use crate::config::{Protocol, SimConfig};
+use crate::config::{Protocol, SimConfig, Transport};
+use crate::engine::exchange::socket::DIAL_RETRY_WINDOW;
 use crate::engine::exchange::{
-    Command, NewsOutcome, Outbound, ProcessTransport, Reply, ShardTransport, SocketTransport,
-    SupervisedTransport, Supervision, TransportError,
+    Command, NewsOutcome, Outbound, Reply, ShardTransport, SocketTransport, SupervisedTransport,
+    Supervision, TransportError,
 };
 use crate::engine::partition::Partition;
 use crate::engine::shard::{self, ShardInit, ShardState};
@@ -25,7 +26,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 use whatsup_core::{NewsItem, NodeId, Opinions, Params, Profile, WhatsUpNode};
 use whatsup_datasets::Dataset;
 use whatsup_graph::Graph;
@@ -145,7 +145,7 @@ fn resolve_shards(requested: usize, n: usize) -> usize {
 
 /// Builds the driver core and one init per shard from `(dataset, protocol,
 /// config, scenario)` — shared by the in-process constructor and the
-/// multi-process runner so both start from identical state. `force_store`
+/// external-worker runner so both start from identical state. `force_store`
 /// overrides the oracle's dense/sparse byte-cost choice (`Some(true)` =
 /// CSR, `Some(false)` = bit-plane); the equivalence property tests use it
 /// to pin both representations to the same reports.
@@ -670,6 +670,34 @@ fn drive(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), Trans
     Ok(())
 }
 
+/// Runs every cycle of `core` over the worker `link` — under a
+/// [`SupervisedTransport`] when `supervision` is set, so crashed or hung
+/// workers are restarted and recovered by checkpoint/replay instead of
+/// failing the run — then stops the workers and reports.
+fn drive_with(
+    mut core: DriverCore,
+    link: SocketTransport,
+    supervision: Option<Supervision>,
+) -> Result<SimReport, TransportError> {
+    match supervision {
+        None => {
+            let mut t = link;
+            drive(&mut core, &mut t)?;
+            t.shutdown()?;
+        }
+        Some(sup) => {
+            let mut t = SupervisedTransport::new(link, sup);
+            drive(&mut core, &mut t)?;
+            let restarts = t.restarts_used();
+            t.shutdown()?;
+            if restarts > 0 {
+                eprintln!("supervisor: recovered {restarts} worker restart(s)");
+            }
+        }
+    }
+    Ok(core.into_report())
+}
+
 /// A running simulation of one node-based protocol over one dataset.
 pub struct Simulation {
     core: DriverCore,
@@ -679,14 +707,14 @@ pub struct Simulation {
 impl Simulation {
     /// Builds a simulation with `cfg.shards` in-process shards under the
     /// legacy scenario the config describes (uniform publications, constant
-    /// loss, uniform churn). Prefer routing through [`crate::Runner`] —
-    /// this constructor is the engine-internal entry point.
+    /// loss, uniform churn). The crate's unit tests build through it;
+    /// everything else builds through [`crate::Runner`].
     ///
     /// # Panics
     /// Panics if `protocol` is one of the global engines (cascade, pub/sub,
-    /// centralized — use [`crate::Runner`] or
-    /// [`crate::engines::run_protocol`]) or if the config is invalid.
-    pub fn new(dataset: &Dataset, protocol: Protocol, cfg: SimConfig) -> Self {
+    /// centralized) or if the config is invalid.
+    #[cfg(test)]
+    pub(crate) fn new(dataset: &Dataset, protocol: Protocol, cfg: SimConfig) -> Self {
         let scenario = Scenario::from_config(&cfg);
         Self::with_scenario(dataset, protocol, cfg, scenario)
     }
@@ -704,7 +732,7 @@ impl Simulation {
         Self { core, shards }
     }
 
-    /// [`Simulation::new`] with the oracle's dense/sparse representation
+    /// `Simulation::new` with the oracle's dense/sparse representation
     /// forced (`true` = CSR, `false` = bit-plane) instead of chosen by
     /// byte cost. Test hook for the representation-equivalence properties;
     /// reports must be byte-identical either way.
@@ -721,115 +749,48 @@ impl Simulation {
         Self { core, shards }
     }
 
-    /// Builds and runs the whole simulation on child worker processes (one
-    /// `sim-shard-worker` per shard, mailbox bundles over stdio pipes).
-    /// Bit-identical to the in-process engine for the same config.
-    pub fn run_multiprocess(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        worker: &Path,
-    ) -> io::Result<SimReport> {
-        let scenario = Scenario::from_config(&cfg);
-        Self::run_multiprocess_scenario(dataset, protocol, cfg, scenario, worker, None)
-    }
-
-    /// [`Simulation::run_multiprocess`] under an explicit scenario. Events
-    /// flow to the workers as phase commands, so the full scenario grammar
-    /// works across process boundaries. With `supervision`, crashed
-    /// children are respawned and recovered by checkpoint/replay instead
-    /// of failing the run (see [`SupervisedTransport`]).
-    pub(crate) fn run_multiprocess_scenario(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        scenario: Scenario,
-        worker: &Path,
-        supervision: Option<Supervision>,
-    ) -> io::Result<SimReport> {
-        let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
-        // On any error, dropping the transport stops + reaps the children.
-        let transport = ProcessTransport::spawn(worker, &inits)?;
-        match supervision {
-            None => {
-                let mut t = transport;
-                drive(&mut core, &mut t)?;
-                t.shutdown()?;
-            }
-            Some(sup) => {
-                let mut t = SupervisedTransport::new(transport, sup);
-                drive(&mut core, &mut t)?;
-                let restarts = t.restarts_used();
-                t.shutdown()?;
-                if restarts > 0 {
-                    eprintln!("supervisor: recovered {restarts} worker restart(s)");
-                }
-            }
-        }
-        Ok(core.into_report())
-    }
-
-    /// Builds and runs the whole simulation on already-listening
-    /// `sim-shard-worker --listen` processes, one per `workers` address
-    /// (shard `k` goes to `workers[k]`; the shard count *is* the worker
-    /// count, overriding `cfg.shards`). Bit-identical to the in-process
-    /// engine for the same config.
-    pub fn run_socket(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        workers: &[String],
-    ) -> io::Result<SimReport> {
-        let scenario = Scenario::from_config(&cfg);
-        Self::run_socket_scenario(dataset, protocol, cfg, scenario, workers, None)
-    }
-
-    /// [`Simulation::run_socket`] under an explicit scenario. With
-    /// `supervision`, crashed or hung workers are redialed (a replacement
-    /// listener must take over the address) and recovered by
-    /// checkpoint/replay instead of failing the run.
-    pub(crate) fn run_socket_scenario(
+    /// Builds and runs the whole simulation on `sim-shard-worker`
+    /// processes: spawned locally, one per shard, for
+    /// [`Transport::Process`]; dialed at the given addresses for
+    /// [`Transport::Socket`] (shard `k` goes to `workers[k]`; the shard
+    /// count *is* the worker count, overriding `cfg.shards`). Events flow to
+    /// the workers as phase commands, so the full scenario grammar works
+    /// across process boundaries. Bit-identical to the in-process engine.
+    pub(crate) fn run_external(
         dataset: &Dataset,
         protocol: Protocol,
         mut cfg: SimConfig,
         scenario: Scenario,
-        workers: &[String],
+        transport: Transport,
         supervision: Option<Supervision>,
     ) -> io::Result<SimReport> {
-        if workers.is_empty() {
-            return Err(io::Error::other(
-                "socket transport needs at least one worker address",
-            ));
-        }
-        if workers.len() > dataset.n_users() {
-            return Err(io::Error::other(format!(
-                "{} socket workers for {} nodes — shards cannot outnumber nodes",
-                workers.len(),
-                dataset.n_users()
-            )));
-        }
-        cfg.shards = workers.len();
-        let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
-        // On any error, dropping the transport sends Stop and closes the
-        // connections, so the remote workers exit instead of lingering.
-        match supervision {
-            None => {
-                let mut t = SocketTransport::connect(workers, &inits)?;
-                drive(&mut core, &mut t)?;
-                t.shutdown()?;
+        if let Transport::Socket(workers) = &transport {
+            if workers.is_empty() {
+                return Err(io::Error::other(
+                    "socket transport needs at least one worker address",
+                ));
             }
-            Some(sup) => {
-                let socket = SocketTransport::connect_with(workers, &inits, sup.dial_window)?;
-                let mut t = SupervisedTransport::new(socket, sup);
-                drive(&mut core, &mut t)?;
-                let restarts = t.restarts_used();
-                t.shutdown()?;
-                if restarts > 0 {
-                    eprintln!("supervisor: recovered {restarts} worker restart(s)");
-                }
+            if workers.len() > dataset.n_users() {
+                return Err(io::Error::other(format!(
+                    "{} socket workers for {} nodes — shards cannot outnumber nodes",
+                    workers.len(),
+                    dataset.n_users()
+                )));
             }
+            cfg.shards = workers.len();
         }
-        Ok(core.into_report())
+        let (core, inits) = build(dataset, protocol, cfg, scenario, None);
+        let dial_window = supervision
+            .as_ref()
+            .map_or(DIAL_RETRY_WINDOW, |s| s.dial_window);
+        // On any error, dropping the transport sends Stop, closes the
+        // connections and reaps spawned workers, so none lingers.
+        let link = match transport {
+            Transport::Process(worker) => SocketTransport::spawn(&worker, &inits, dial_window)?,
+            Transport::Socket(workers) => SocketTransport::connect(&workers, &inits, dial_window)?,
+            Transport::InProcess => unreachable!("in-process runs never reach the workers"),
+        };
+        Ok(drive_with(core, link, supervision)?)
     }
 
     pub fn protocol(&self) -> Protocol {

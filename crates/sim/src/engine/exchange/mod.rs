@@ -6,16 +6,16 @@
 //!
 //! * [`ChannelTransport`] — shards as worker threads, frames over
 //!   crossbeam channels (in-process);
-//! * [`ProcessTransport`] — shards as `sim-shard-worker` child processes,
-//!   length-prefixed frames over stdio pipes (multi-process);
-//! * [`SocketTransport`] — shards as `sim-shard-worker --listen` processes
-//!   anywhere on the network, the same frames over TCP (distributed);
+//! * [`SocketTransport`] — shards as `sim-shard-worker --listen` processes,
+//!   length-prefixed frames over TCP: either local children the transport
+//!   spawns and dials over loopback (multi-process), or already-listening
+//!   workers anywhere on the network (distributed);
 //! * the single-shard driver calls the shard inline without serializing.
 //!
-//! The [`stream`] submodule holds everything the byte-stream transports
-//! (pipes and sockets) share: length-prefixed framing over generic
-//! `Read`/`Write`, the versioned bootstrap handshake, and the worker serve
-//! loop — `sim-shard-worker` is a thin shell around it.
+//! The [`stream`] submodule holds the byte-stream plumbing: length-prefixed
+//! framing over generic `Read`/`Write`, the versioned bootstrap handshake,
+//! and the worker serve loop — `sim-shard-worker` is a thin shell around
+//! it.
 //!
 //! Every frame is hand-encoded little-endian via the `bytes` buffers;
 //! mailbox traffic and view snapshots embed the `whatsup-net` wire codec's
@@ -26,12 +26,10 @@
 //! handshake, a peer vanishing, a frame truncated on the wire — surfaces
 //! as a typed [`TransportError`] naming the endpoint instead.
 
-pub mod process;
 pub mod socket;
 pub mod stream;
 pub mod supervisor;
 
-pub use process::ProcessTransport;
 pub use socket::SocketTransport;
 pub use stream::{read_frame, write_frame};
 pub use supervisor::{SupervisedTransport, Supervision};
@@ -55,7 +53,8 @@ use whatsup_net::codec;
 #[derive(Debug)]
 pub struct TransportError {
     /// Human-readable worker endpoint, e.g. `10.0.0.2:7401` or
-    /// `sim-shard-worker pid 4242 (shard 1)`.
+    /// `sim-shard-worker pid 4242` (a spawned worker before its
+    /// announcement).
     pub endpoint: String,
     pub kind: TransportErrorKind,
 }
@@ -659,7 +658,7 @@ pub fn decode_reply(mut frame: &[u8]) -> Reply {
 }
 
 // ---------------------------------------------------------------------------
-// Shard init frame (multi-process bootstrap)
+// Shard init frame (worker bootstrap)
 // ---------------------------------------------------------------------------
 
 fn put_params(buf: &mut BytesMut, p: &Params) {
@@ -977,8 +976,7 @@ pub fn decode_init(mut frame: &[u8]) -> ShardInit {
 /// replies travel as refcounted clones. Encoding frames here would
 /// deep-copy every gossip bundle once per shard per phase — the dominant
 /// term in the multi-shard in-process memory footprint. The byte-stream
-/// transports ([`ProcessTransport`], [`SocketTransport`]) still exercise
-/// the full codec, and bundles themselves are wire-encoded on every
+/// transport ([`SocketTransport`]) still exercises the full codec, and bundles themselves are wire-encoded on every
 /// transport, so cross-transport byte parity is unaffected.
 pub struct ChannelTransport {
     to: Vec<crossbeam::channel::Sender<Command>>,

@@ -1,38 +1,52 @@
-//! Distributed transport: shard workers as `sim-shard-worker --listen`
-//! processes reachable over TCP, exchanging exactly the frames the pipe
-//! transport uses. This is what lets shard workers live on other machines:
-//! the bundle payloads already are the `whatsup-net` wire codec.
+//! The byte-stream transport: shard workers as `sim-shard-worker --listen`
+//! processes reachable over TCP. This is what lets shard workers live on
+//! other machines: the bundle payloads already are the `whatsup-net` wire
+//! codec.
 //!
-//! Launch order is *workers first, then driver* — but only loosely: each
-//! worker binds, prints its address, and blocks in accept, while the
-//! driver retries refused/unreachable dials over [`DIAL_RETRY_WINDOW`]
-//! (configurable via [`SocketTransport::connect_with`]), so a worker that
-//! comes up a moment after the driver still gets its shard. Dialing and
-//! the handshake are guarded by [`CONNECT_TIMEOUT`]/[`HANDSHAKE_TIMEOUT`],
-//! so a worker that stays down, is unreachable, or speaks a different
-//! protocol version surfaces as a typed [`TransportError`] naming the
-//! address — a run never hangs on bootstrap and never panics on a foreign
-//! greeting.
+//! Workers come from one of two places, and the conversation is the same
+//! for both:
+//!
+//! * **dialed** ([`SocketTransport::connect`]) — already-listening workers,
+//!   possibly remote. Launch order is *workers first, then driver* — but
+//!   only loosely: each worker binds, prints its address, and blocks in
+//!   accept, while the driver retries refused/unreachable dials over a
+//!   window ([`DIAL_RETRY_WINDOW`] by default), so a worker that comes up
+//!   a moment after the driver still gets its shard;
+//! * **spawned** ([`SocketTransport::spawn`]) — one local
+//!   `sim-shard-worker --listen 127.0.0.1:0` child per shard, its
+//!   `LISTEN <addr>` announcement read with a time bound
+//!   ([`spawn_listen_worker`]), then dialed over loopback. The transport
+//!   owns these children: [`Drop`] kills and reaps them, and
+//!   [`SocketTransport::shutdown`] waits for their exit status.
+//!
+//! Dialing and the handshake are guarded by
+//! [`CONNECT_TIMEOUT`]/[`HANDSHAKE_TIMEOUT`], so a worker that stays down,
+//! is unreachable, or speaks a different protocol version surfaces as a
+//! typed [`TransportError`] naming the address — a run never hangs on
+//! bootstrap and never panics on a foreign greeting.
 //!
 //! The transport keeps every shard's original init and the dial window, so
-//! the supervision layer ([`super::SupervisedTransport`]) can redial a
-//! crashed worker's address through [`ShardLink::restart`] and re-run the
-//! handshake with a replacement listener. Hang detection is armed through
-//! [`ShardLink::set_deadline`]: a per-read/write deadline on every
-//! conversation, so a wedged worker surfaces as a timed-out (retryable)
-//! I/O error instead of blocking the driver forever.
+//! the supervision layer ([`super::SupervisedTransport`]) can restart a
+//! crashed worker through [`ShardLink::restart`]: a worker this transport
+//! spawned is killed, reaped and respawned on a fresh port; a dialed
+//! address is redialed for a replacement listener. Either way the
+//! handshake re-runs with the shard's original init. Hang detection is
+//! armed through [`ShardLink::set_deadline`]: a per-read/write deadline on
+//! every conversation, so a wedged worker surfaces as a timed-out
+//! (retryable) I/O error instead of blocking the driver forever.
 
-use super::stream::{
-    drive_handshake_encoded, encode_handshake, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT,
-};
+use super::stream::{drive_handshake, encode_handshake, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT};
 use super::supervisor::ShardLink;
 use super::{
     decode_reply, encode_command, read_frame, write_frame, Command, Reply, ShardTransport,
-    TransportError,
+    TransportError, TransportErrorKind,
 };
 use crate::engine::shard::ShardInit;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Default window over which an initial dial (or a supervised redial) is
@@ -41,8 +55,8 @@ use std::time::{Duration, Instant};
 pub const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(3);
 
 pub struct SocketTransport {
-    /// One worker address per shard, as given by the caller (named in
-    /// errors).
+    /// One worker address per shard — as given by the caller, or as
+    /// announced by a spawned worker (named in errors).
     endpoints: Vec<String>,
     /// Every shard's handshake frame (magic + version + encoded init),
     /// encoded once at bootstrap and replayed verbatim on redial — the
@@ -54,6 +68,12 @@ pub struct SocketTransport {
     deadline: Option<Duration>,
     /// Retry window for dials, shared by bootstrap and redials.
     dial_window: Duration,
+    /// The worker binary when this transport spawned its workers (kept
+    /// for supervised respawns); `None` for dialed addresses.
+    worker: Option<PathBuf>,
+    /// The spawned worker processes, one per shard; empty for dialed
+    /// addresses.
+    children: Vec<Child>,
     /// Set by [`SocketTransport::shutdown`] so [`Drop`] skips the
     /// best-effort teardown after a graceful one.
     stopped: bool,
@@ -121,7 +141,7 @@ fn connect_worker(
             .map_err(|e| TransportError::io(addr, e))?,
     );
     let mut writer = BufWriter::new(stream);
-    drive_handshake_encoded(addr, &mut reader, &mut writer, handshake)?;
+    drive_handshake(addr, &mut reader, &mut writer, handshake)?;
     // Handshake done: arm the steady-state deadline. `None` lets long
     // lockstep rounds block freely; supervised runs bound every read and
     // write so a hung worker is detected and treated as dead.
@@ -141,45 +161,148 @@ fn arm_deadline(
         .map_err(|e| TransportError::io(addr, e))
 }
 
-impl SocketTransport {
-    /// Dials one worker per init (`workers[k]` becomes shard `k`) with the
-    /// default [`DIAL_RETRY_WINDOW`] and runs the bootstrap handshake with
-    /// each. Connect and handshake are bounded by timeouts; after the
-    /// handshake the streams block freely (a lockstep round may
-    /// legitimately take long on big shards) until a supervisor arms a
-    /// deadline.
-    pub fn connect(workers: &[String], inits: &[ShardInit]) -> Result<Self, TransportError> {
-        Self::connect_with(workers, inits, DIAL_RETRY_WINDOW)
+/// Spawns `worker --listen <addr>` and reads its `LISTEN <bound-addr>`
+/// announcement, returning the child and the address to dial. The read is
+/// bounded by [`HANDSHAKE_TIMEOUT`] on a watchdog thread (a child can be
+/// alive yet silent — e.g. not a shard worker at all); on timeout, on an
+/// early exit or on a malformed line the child is killed and reaped, so
+/// the caller never inherits a half-started process. The worker's stderr
+/// goes to `stderr`.
+pub fn spawn_listen_worker(
+    worker: &Path,
+    addr: &str,
+    stderr: Stdio,
+) -> Result<(Child, String), TransportError> {
+    let mut child = std::process::Command::new(worker)
+        .args(["--listen", addr])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(stderr)
+        .spawn()
+        .map_err(|e| TransportError::io(format!("spawn {}", worker.display()), e))?;
+    let endpoint = format!("sim-shard-worker pid {}", child.id());
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let read = BufReader::new(stdout).read_line(&mut line).map(|_| line);
+        let _ = tx.send(read);
+    });
+    let announced = match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
+        Ok(Ok(line)) if line.is_empty() => Err(TransportError::closed(
+            &*endpoint,
+            "worker exited before announcing its address",
+        )),
+        Ok(Ok(line)) => match line.trim_end().strip_prefix("LISTEN ") {
+            Some(bound) => Ok(bound.to_string()),
+            None => Err(TransportError::io(
+                &*endpoint,
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("expected 'LISTEN <addr>', got {line:?}"),
+                ),
+            )),
+        },
+        Ok(Err(e)) => Err(TransportError::io(&*endpoint, e)),
+        Err(_) => Err(TransportError::io(
+            &*endpoint,
+            io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "no LISTEN announcement within {HANDSHAKE_TIMEOUT:?} — \
+                     is this a sim-shard-worker binary?"
+                ),
+            ),
+        )),
+    };
+    match announced {
+        Ok(bound) => Ok((child, bound)),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(e)
+        }
     }
+}
 
-    /// [`SocketTransport::connect`] with an explicit dial-retry window
-    /// (tests shrink it; deployments with slow worker rollout raise it).
-    /// The window is kept for supervised redials.
-    pub fn connect_with(
+impl SocketTransport {
+    /// Dials one worker per init (`workers[k]` becomes shard `k`),
+    /// retrying each dial over `dial_window` ([`DIAL_RETRY_WINDOW`] by
+    /// default; deployments with slow worker rollout raise it), and runs
+    /// the bootstrap handshake with each. Connect and handshake are
+    /// bounded by timeouts; after the handshake the streams block freely
+    /// (a lockstep round may legitimately take long on big shards) until a
+    /// supervisor arms a deadline. The window is kept for supervised
+    /// redials.
+    pub fn connect(
         workers: &[String],
         inits: &[ShardInit],
         dial_window: Duration,
     ) -> Result<Self, TransportError> {
         assert_eq!(workers.len(), inits.len(), "one worker address per shard");
-        let mut t = Self {
-            endpoints: workers.to_vec(),
-            handshakes: inits.iter().map(encode_handshake).collect(),
-            readers: Vec::with_capacity(workers.len()),
-            writers: Vec::with_capacity(workers.len()),
-            deadline: None,
-            dial_window,
-            stopped: false,
-        };
-        for (shard, addr) in workers.iter().enumerate() {
-            let (reader, writer) = connect_worker(addr, &t.handshakes[shard], dial_window, None)?;
-            t.readers.push(reader);
-            t.writers.push(writer);
-        }
+        let mut t = Self::unconnected(inits, dial_window, None);
+        t.endpoints = workers.to_vec();
+        t.connect_all()?;
         Ok(t)
     }
 
-    /// Stops every worker and closes the connections; errors report the
-    /// first failure but still close every stream.
+    /// Spawns one local `worker --listen 127.0.0.1:0` child per init
+    /// (see [`spawn_listen_worker`]), then dials each announced address
+    /// and runs the bootstrap handshake with it. The transport owns the
+    /// children: on failure, the ones spawned so far are killed and
+    /// reaped before returning.
+    pub fn spawn(
+        worker: &Path,
+        inits: &[ShardInit],
+        dial_window: Duration,
+    ) -> Result<Self, TransportError> {
+        let mut t = Self::unconnected(inits, dial_window, Some(worker.to_path_buf()));
+        for _ in inits {
+            // Failures propagate after the partial registration, so Drop
+            // reaps the children spawned so far.
+            let (child, addr) = spawn_listen_worker(worker, "127.0.0.1:0", Stdio::inherit())?;
+            t.children.push(child);
+            t.endpoints.push(addr);
+        }
+        t.connect_all()?;
+        Ok(t)
+    }
+
+    /// A transport with no workers yet: the handshakes are encoded once
+    /// here and replayed verbatim on every restart.
+    fn unconnected(inits: &[ShardInit], dial_window: Duration, worker: Option<PathBuf>) -> Self {
+        let n = inits.len();
+        debug_assert!(
+            inits.iter().enumerate().all(|(s, init)| init.index == s),
+            "inits must be in shard order"
+        );
+        Self {
+            endpoints: Vec::with_capacity(n),
+            handshakes: inits.iter().map(encode_handshake).collect(),
+            readers: Vec::with_capacity(n),
+            writers: Vec::with_capacity(n),
+            deadline: None,
+            dial_window,
+            children: Vec::new(),
+            worker,
+            stopped: false,
+        }
+    }
+
+    /// Dials every endpoint in shard order and runs the handshakes.
+    fn connect_all(&mut self) -> Result<(), TransportError> {
+        for (addr, handshake) in self.endpoints.iter().zip(&self.handshakes) {
+            let (reader, writer) = connect_worker(addr, handshake, self.dial_window, None)?;
+            self.readers.push(reader);
+            self.writers.push(writer);
+        }
+        Ok(())
+    }
+
+    /// Stops every worker and closes the connections, then reaps the
+    /// spawned workers (a non-zero exit is a
+    /// [`TransportErrorKind::WorkerExit`]); errors report the first
+    /// failure but still close every stream and reap every child.
     pub fn shutdown(mut self) -> Result<(), TransportError> {
         self.stopped = true;
         let stop = encode_command(&Command::Stop);
@@ -198,17 +321,35 @@ impl SocketTransport {
         // partitioned worker must not hang a completed run.
         for (s, reader) in self.readers.iter_mut().enumerate() {
             let _ = reader.get_ref().set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-            match read_frame(reader) {
-                Ok(None) => {}
-                Ok(Some(_)) => {
-                    first_err.get_or_insert(TransportError::closed(
-                        &*self.endpoints[s],
-                        "worker sent a frame after Stop",
-                    ));
+            let endpoint = &*self.endpoints[s];
+            let eof = match read_frame(reader) {
+                Ok(None) => Ok(()),
+                Ok(Some(_)) => Err(TransportError::closed(
+                    endpoint,
+                    "worker sent a frame after Stop",
+                )),
+                Err(e) => Err(TransportError::io(endpoint, e)),
+            };
+            // Reap a spawned worker; one that did not close cleanly is
+            // killed first, so the wait cannot block.
+            let exit = match self.children.get_mut(s) {
+                None => Ok(()),
+                Some(child) => {
+                    if eof.is_err() {
+                        let _ = child.kill();
+                    }
+                    match child.wait() {
+                        Ok(status) if !status.success() => Err(TransportError {
+                            endpoint: endpoint.into(),
+                            kind: TransportErrorKind::WorkerExit(status.to_string()),
+                        }),
+                        Ok(_) => Ok(()),
+                        Err(e) => Err(TransportError::io(endpoint, e)),
+                    }
                 }
-                Err(e) => {
-                    first_err.get_or_insert(TransportError::io(&*self.endpoints[s], e));
-                }
+            };
+            if let Err(e) = eof.and(exit) {
+                first_err.get_or_insert(e);
             }
         }
         match first_err {
@@ -225,10 +366,16 @@ impl Drop for SocketTransport {
         }
         // Early-error path: tell every worker to stop, then close both
         // directions so a worker blocked in read sees EOF immediately.
+        // Spawned workers are then killed and reaped, so an aborted run
+        // leaves no stray or zombie process behind.
         let stop = encode_command(&Command::Stop);
         for writer in &mut self.writers {
             let _ = write_frame(writer, &stop);
             let _ = writer.get_ref().shutdown(Shutdown::Both);
+        }
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
         }
     }
 }
@@ -264,6 +411,16 @@ impl ShardLink for SocketTransport {
         // redial within the dial window. Replacing the reader/writer drops
         // any half-read frame with the old connection.
         let _ = self.writers[shard].get_ref().shutdown(Shutdown::Both);
+        if let Some(worker) = &self.worker {
+            // A worker this transport spawned: reap it (it may already be
+            // gone, or frozen — SIGKILL ends both) so a respawn loop cannot
+            // accumulate zombies, then dial its replacement's fresh port.
+            let _ = self.children[shard].kill();
+            let _ = self.children[shard].wait();
+            let (child, addr) = spawn_listen_worker(worker, "127.0.0.1:0", Stdio::inherit())?;
+            self.children[shard] = child;
+            self.endpoints[shard] = addr;
+        }
         let (reader, writer) = connect_worker(
             &self.endpoints[shard],
             &self.handshakes[shard],

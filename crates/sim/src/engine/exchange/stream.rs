@@ -1,15 +1,15 @@
-//! Byte-stream plumbing shared by every framed transport (stdio pipes and
-//! TCP sockets): length-prefixed framing over generic [`Read`]/[`Write`],
-//! the versioned bootstrap handshake, and the worker serve loop.
+//! Byte-stream plumbing of the framed transport: length-prefixed framing
+//! over generic [`Read`]/[`Write`], the versioned bootstrap handshake, and
+//! the worker serve loop.
 //!
 //! # Bootstrap handshake
 //!
-//! Workers start first, the driver dials second (over pipes, "dialing" is
-//! spawning the child). Every conversation opens the same way regardless
-//! of the byte stream underneath:
+//! Workers start first (already listening, or spawned by the driver, which
+//! waits for their `LISTEN` announcement), the driver dials second. Every
+//! conversation opens the same way:
 //!
 //! 1. **worker → driver** *hello*: `magic:u32 version:u16` — sent as soon
-//!    as the stream exists (on spawn for pipes, on accept for sockets).
+//!    as the worker accepts the connection.
 //! 2. **driver → worker** *handshake*: `magic:u32 version:u16` followed by
 //!    the [`ShardInit`] payload ([`super::encode_init`]).
 //! 3. Command/reply frames until a `Stop` command ends the conversation.
@@ -42,9 +42,9 @@ pub const PROTOCOL_VERSION: u16 = 4;
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long either side waits for the other's half of the handshake
-/// before declaring the peer dead or foreign. Sockets arm it as a read
-/// timeout; the process transport bounds its hello wait with it (a child
-/// can be alive yet silent — e.g. not a shard worker at all).
+/// before declaring the peer dead or foreign, armed as a read timeout. It
+/// also bounds the wait for a spawned worker's `LISTEN` announcement (a
+/// child can be alive yet silent — e.g. not a shard worker at all).
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Upper bound on a single frame, as a guard against garbage length
@@ -153,57 +153,36 @@ pub fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
     Ok(decode_init(buf))
 }
 
-/// Driver-side validation of a worker's hello: takes the raw outcome of
-/// [`read_frame`] so callers can bound the read however their stream
-/// allows (socket read timeout, watchdog thread for pipes). `endpoint`
-/// names the worker in errors.
-pub fn check_hello(
-    endpoint: &str,
-    hello: io::Result<Option<Vec<u8>>>,
-) -> Result<(), TransportError> {
-    let frame = hello
-        .map_err(|e| TransportError::io(endpoint, e))?
-        .ok_or_else(|| TransportError::closed(endpoint, "worker closed before its hello"))?;
-    let version = decode_hello(&frame).map_err(|kind| TransportError {
-        endpoint: endpoint.into(),
-        kind,
-    })?;
-    if version != PROTOCOL_VERSION {
-        return Err(TransportError {
-            endpoint: endpoint.into(),
-            kind: TransportErrorKind::HandshakeVersion {
-                got: version,
-                want: PROTOCOL_VERSION,
-            },
-        });
-    }
-    Ok(())
-}
-
 /// Driver side of the bootstrap over an established stream: read and
-/// validate the worker's hello, then send the versioned handshake carrying
-/// `init`. `endpoint` names the worker in errors.
+/// validate the worker's hello (bounded by the caller's read timeout), then
+/// send the versioned `handshake` frame ([`encode_handshake`]). `endpoint`
+/// names the worker in errors. The init never changes over a transport's
+/// lifetime, so the transport encodes it once at bootstrap and replays the
+/// same bytes on every restart instead of re-serializing the full shard
+/// init (which for large shards dominates recovery time).
 pub fn drive_handshake(
-    endpoint: &str,
-    input: &mut impl Read,
-    output: &mut impl Write,
-    init: &ShardInit,
-) -> Result<(), TransportError> {
-    drive_handshake_encoded(endpoint, input, output, &encode_handshake(init))
-}
-
-/// [`drive_handshake`] with the handshake frame already encoded. The init
-/// never changes over a transport's lifetime, so supervised transports
-/// encode it once at bootstrap and replay the same bytes on every
-/// respawn/redial instead of re-serializing the full shard init (which for
-/// large shards dominates recovery time).
-pub fn drive_handshake_encoded(
     endpoint: &str,
     input: &mut impl Read,
     output: &mut impl Write,
     handshake: &[u8],
 ) -> Result<(), TransportError> {
-    check_hello(endpoint, read_frame(input))?;
+    let frame = read_frame(input)
+        .map_err(|e| TransportError::io(endpoint, e))?
+        .ok_or_else(|| TransportError::closed(endpoint, "worker closed before its hello"))?;
+    let kind = match decode_hello(&frame) {
+        Ok(PROTOCOL_VERSION) => None,
+        Ok(got) => Some(TransportErrorKind::HandshakeVersion {
+            got,
+            want: PROTOCOL_VERSION,
+        }),
+        Err(kind) => Some(kind),
+    };
+    if let Some(kind) = kind {
+        return Err(TransportError {
+            endpoint: endpoint.into(),
+            kind,
+        });
+    }
     write_frame(output, handshake).map_err(|e| TransportError::io(endpoint, e))
 }
 
@@ -240,10 +219,10 @@ impl fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// The worker half of the bootstrap over any framed byte stream: send the
+/// The worker half of the bootstrap over a framed byte stream: send the
 /// hello, read + validate the driver's handshake, build the shard state
-/// it carries. Callers that can bound reads (sockets) arm a timeout
-/// around this and disarm it before [`serve_stream`].
+/// it carries. The caller arms a read timeout around this and disarms it
+/// before [`serve_stream`].
 pub fn accept_handshake(
     input: &mut impl Read,
     output: &mut impl Write,
@@ -261,20 +240,11 @@ pub fn accept_handshake(
     Ok(ShardState::from_init(init))
 }
 
-/// The worker end of one driver conversation over any framed byte stream:
-/// hello, handshake, build the shard, then serve commands until `Stop`.
-///
-/// Returns `Ok` only on an orderly `Stop`; a driver that merely closes the
-/// stream (killed mid-run) is a [`WorkerError::ConnectionLost`], so the
-/// worker process can exit non-zero with a one-line message instead of a
-/// panic backtrace.
-pub fn run_worker(input: &mut impl Read, output: &mut impl Write) -> Result<(), WorkerError> {
-    let mut state = accept_handshake(input, output)?;
-    serve_stream(&mut state, input, output)
-}
-
 /// The post-handshake serve loop: one reply frame per command frame, until
-/// `Stop` (`Ok`) or the stream dies (`Err`). Command dispatch is
+/// `Stop` (`Ok`) or the stream dies (`Err`). A driver that merely closes
+/// the stream (killed mid-run) is a [`WorkerError::ConnectionLost`], so the
+/// worker process can exit non-zero with a one-line message instead of a
+/// panic backtrace. Command dispatch is
 /// [`crate::engine::shard::handle_frame`], shared with the channel-thread
 /// workers, so the transports cannot diverge on command semantics.
 pub fn serve_stream(

@@ -1,10 +1,10 @@
-//! Worker supervision: checkpoint/replay recovery around the external
-//! transports, so a crashed or hung `sim-shard-worker` becomes a pause
+//! Worker supervision: checkpoint/replay recovery around the byte-stream
+//! transport, so a crashed or hung `sim-shard-worker` becomes a pause
 //! instead of a dead run.
 //!
 //! [`SupervisedTransport`] wraps a [`ShardLink`] (the per-shard
-//! conversation primitives of [`super::ProcessTransport`] and
-//! [`super::SocketTransport`]) and implements [`ShardTransport`] itself,
+//! conversation primitives of [`super::SocketTransport`]) and implements
+//! [`ShardTransport`] itself,
 //! so the driver above is oblivious: a round-trip either succeeds — the
 //! failure handled internally — or fails only after the restart budget is
 //! exhausted or a fatal (non-retryable) error surfaces.
@@ -18,8 +18,9 @@
 //! *retryable* error ([`super::TransportErrorKind::is_retryable`]):
 //!
 //! 1. back off (bounded exponential, deterministic jitter);
-//! 2. [`ShardLink::restart`]: respawn the child or redial the address and
-//!    re-run the versioned handshake with the shard's original init;
+//! 2. [`ShardLink::restart`]: respawn the worker (if the link spawned it)
+//!    or redial its address, and re-run the versioned handshake with the
+//!    shard's original init;
 //! 3. send [`Command::Restore`] with the last checkpoint (skipped before
 //!    the first checkpoint — the freshly handshaken worker already sits at
 //!    the `from_init` state the log starts from);
@@ -49,17 +50,16 @@ pub struct Supervision {
     /// Cycles between checkpoints (≥ 1). Checkpoints bound both the
     /// command log replayed on recovery and its memory footprint.
     pub checkpoint_every: u32,
-    /// Hang detection: per-read/write deadline on socket conversations (a
-    /// hard-deadline simplification of a phi-accrual liveness detector). A
-    /// worker that neither answers nor closes within the deadline is
-    /// treated as dead. Generous by default — a lockstep round on a big
-    /// shard legitimately takes seconds. Pipes cannot arm deadlines; a
-    /// crashed child surfaces as EOF instead.
+    /// Hang detection: per-read/write deadline on every worker
+    /// conversation (a hard-deadline simplification of a phi-accrual
+    /// liveness detector). A worker that neither answers nor closes within
+    /// the deadline is treated as dead. Generous by default — a lockstep
+    /// round on a big shard legitimately takes seconds.
     pub deadline: Duration,
     /// Base of the exponential backoff between restart attempts.
     pub backoff: Duration,
-    /// Window over which a socket redial (and the initial dial) is
-    /// retried before the attempt counts as failed.
+    /// Window over which a redial (and the initial dial) is retried before
+    /// the attempt counts as failed.
     pub dial_window: Duration,
 }
 
@@ -86,10 +86,10 @@ impl Supervision {
     }
 }
 
-/// Per-shard conversation primitives an external transport exposes so the
-/// supervisor can drive each worker independently. A monolithic
+/// Per-shard conversation primitives the byte-stream transport exposes so
+/// the supervisor can drive each worker independently. A monolithic
 /// `roundtrip` cannot recover one shard without corrupting the others
-/// (their pipes would hold unread replies); these primitives let the
+/// (their streams would hold unread replies); these primitives let the
 /// supervisor re-issue exactly the failed shard's traffic.
 pub trait ShardLink {
     fn n_shards(&self) -> usize;
@@ -105,14 +105,14 @@ pub trait ShardLink {
     fn recv(&mut self, shard: usize) -> Result<Vec<u8>, TransportError>;
 
     /// Tears down and re-establishes the conversation with one worker:
-    /// respawn the child / redial the address, then re-run the versioned
-    /// bootstrap handshake carrying the shard's original init. On success
-    /// the replacement worker sits at the `from_init` state.
+    /// respawn it (if the link spawned it) or redial its address, then
+    /// re-run the versioned bootstrap handshake carrying the shard's
+    /// original init. On success the replacement worker sits at the
+    /// `from_init` state.
     fn restart(&mut self, shard: usize) -> Result<(), TransportError>;
 
     /// Arms (or disarms) the per-read/write hang deadline on every current
-    /// and future conversation. Links that cannot time out (pipes) ignore
-    /// it.
+    /// and future conversation.
     fn set_deadline(&mut self, deadline: Option<Duration>);
 
     /// Graceful teardown: `Stop` every worker and reap/EOF-wait.

@@ -53,58 +53,61 @@
 //!    series (see "Measurement pipeline" below). Skipped when
 //!    `SimConfig::collect_series` is off.
 //!
-//! Three transports implement the exchange: an in-process one (shards as
-//! scoped worker threads trading `Vec<u8>` frames over channels), a
-//! multi-process one (shards as `sim-shard-worker` child processes trading
-//! length-prefixed frames over stdio pipes) and a socket one (shards as
-//! `sim-shard-worker --listen` processes trading the same frames over
-//! TCP, possibly on other machines). With a single shard the driver runs
-//! the shard inline. All four paths execute the same
-//! [`shard::ShardState`] code on the same command protocol.
+//! Two transports implement the exchange: an in-process one (shards as
+//! scoped worker threads trading command and reply values over channels)
+//! and a byte-stream one (shards as `sim-shard-worker --listen` processes
+//! trading length-prefixed frames over TCP). The byte-stream transport
+//! either spawns its workers itself — one local child per shard, dialed
+//! over loopback (`--multiprocess`) — or dials workers that are already
+//! listening, possibly on other machines (`--transport socket`). With a
+//! single shard the driver runs the shard inline. All of these paths
+//! execute the same [`shard::ShardState`] code on the same command
+//! protocol.
 //!
 //! # Distributed topology
 //!
-//! The socket transport turns the simulator into a distributable system:
-//! one driver, `S` workers, one TCP connection per worker, each worker
-//! owning one shard. The moving parts:
+//! The byte-stream transport turns the simulator into a distributable
+//! system: one driver, `S` workers, one TCP connection per worker, each
+//! worker owning one shard. The moving parts:
 //!
 //! * **Launch order** — *workers first, then driver*, but only loosely:
 //!   each worker binds its `--listen` address, prints `LISTEN <addr>` on
 //!   stdout, and blocks in accept; the driver dials every address
 //!   (`--transport socket --workers host:port,…`), retrying refused or
-//!   unreachable dials over a bounded window (default 3 s —
-//!   [`exchange::SocketTransport::connect_with`] widens it), so workers
-//!   that come up moments after the driver still get their shard. The
-//!   `k`-th address becomes shard `k`, and the shard count *is* the
-//!   worker count.
+//!   unreachable dials over a bounded window (default 3 s; the
+//!   supervision's `dial_window` widens it), so workers that come up
+//!   moments after the driver still get their shard. The `k`-th address
+//!   becomes shard `k`, and the shard count *is* the worker count. A
+//!   multi-process run on one machine (`--multiprocess <worker>`) is the
+//!   same topology with the driver as launcher: it spawns one
+//!   `sim-shard-worker --listen 127.0.0.1:0` child per shard, reads each
+//!   `LISTEN` line within a time bound, and dials the announced ports.
 //! * **Handshake frame layout** (all frames `len:u32` little-endian
 //!   length-prefixed; see [`exchange::stream`]): on accept the worker
 //!   sends a *hello* `magic:u32 = "WUPS", version:u16`; the driver
 //!   validates both and answers with a *handshake*
-//!   `magic:u32, version:u16, ShardInit payload` (the same
-//!   [`exchange::encode_init`] encoding the pipe transport uses — params,
-//!   partition, environment models, oracle, bootstrap contacts). Version
-//!   skew or a foreign peer is a typed error naming the address on the
-//!   driver, a one-line stderr exit on the worker — never a
-//!   frame-decode panic. The stdio transport runs the identical
-//!   handshake over its pipes.
+//!   `magic:u32, version:u16, ShardInit payload` ([`exchange::encode_init`]
+//!   — params, partition, environment models, oracle, bootstrap
+//!   contacts). Version skew or a foreign peer is a typed error naming the
+//!   address on the driver, a one-line stderr exit on the worker — never
+//!   a frame-decode panic.
 //! * **Failure paths** — connect and handshake are bounded by timeouts,
 //!   so a dead or unreachable worker fails the run cleanly instead of
 //!   hanging it. Mid-run, a worker that loses its driver (EOF/broken pipe
 //!   before `Stop`) exits non-zero with a one-line message; a driver that
 //!   loses a worker surfaces a typed [`exchange::TransportError`] naming
-//!   the endpoint, and tearing the transport down stops (and, for child
-//!   processes, kills + reaps) the surviving workers.
+//!   the endpoint, and tearing the transport down stops the surviving
+//!   workers (and kills + reaps the ones it spawned).
 //! * **Determinism** — the contract below is transport-blind: a scenario
 //!   report is bit-identical whether the shards run inline, as threads,
-//!   as child processes, or spread over socket workers on other machines,
-//!   because every ordering and every RNG draw is fixed by the command
-//!   protocol itself, not by who executes it (property-tested across all
-//!   three transports, CI-smoked over loopback sockets).
+//!   as spawned local workers, or spread over socket workers on other
+//!   machines, because every ordering and every RNG draw is fixed by the
+//!   command protocol itself, not by who executes it (property-tested
+//!   across all of them, CI-smoked over loopback sockets).
 //!
 //! # Supervision & recovery
 //!
-//! The external transports can be wrapped in
+//! The byte-stream transport can be wrapped in
 //! [`exchange::SupervisedTransport`] ([`crate::Runner::supervised`],
 //! `whatsup-sim run --supervise`), which turns a crashed or hung worker
 //! from a fatal [`exchange::TransportError`] into a recoverable event —
@@ -124,7 +127,8 @@
 //! * **Command log + replay** — every command frame sent since the last
 //!   checkpoint is logged (after its reply arrives) and cleared when a
 //!   checkpoint succeeds. On a retryable failure the supervisor restarts
-//!   the worker (respawn for child processes, redial for sockets),
+//!   the worker (a spawned worker is killed and respawned on a fresh
+//!   port, a dialed address is redialed),
 //!   re-runs the versioned handshake with the original `ShardInit`,
 //!   restores the last checkpoint, replays the logged frames discarding
 //!   their replies, then re-issues the in-flight command. Replay is exact
@@ -137,14 +141,13 @@
 //!   *original* error surfaces, not the last recovery attempt's. Fatal
 //!   errors (handshake magic/version skew —
 //!   [`exchange::TransportErrorKind::is_retryable`]) are never retried.
-//! * **Hang detection** — the socket transport arms read/write deadlines
-//!   on every stream, so a frozen worker trips a timeout (a retryable
-//!   I/O error) instead of hanging the run; pipes surface EOF when the
-//!   child dies. Initial dials retry over a bounded window, and
-//!   supervised redials reuse it.
+//! * **Hang detection** — the transport arms read/write deadlines on
+//!   every stream, spawned or dialed, so a frozen worker trips a timeout
+//!   (a retryable I/O error) instead of hanging the run. Initial dials
+//!   retry over a bounded window, and supervised redials reuse it.
 //!
 //! The fault-injection suite (`tests/transport_faults.rs`) kills and
-//! freezes workers mid-run on both external transports and asserts the
+//! freezes workers mid-run, both spawned and dialed, and asserts the
 //! recovered report is bit-identical to a fault-free run; CI repeats the
 //! kill over loopback sockets and `cmp`s the report JSON.
 //!
@@ -193,8 +196,8 @@
 //! reply folds that happen **in shard-index (or ascending receiver)
 //! order**, and the fold is pure integer addition over that fixed order,
 //! so the series inherits the engine's determinism contract verbatim:
-//! **the full time series is bit-identical across shard counts and all
-//! three transports** (property-tested in `tests/determinism.rs` and
+//! **the full time series is bit-identical across shard counts and
+//! transports** (property-tested in `tests/determinism.rs` and
 //! `tests/scenario.rs`, CI-smoked by `cmp`ing report JSON across shard
 //! counts).
 //!
@@ -300,8 +303,8 @@
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:
-//!   in-process transports hand every shard one pointer. Only the
-//!   external transports (child process / socket) pay one copy per
+//!   in-process transports hand every shard one pointer. Only
+//!   `sim-shard-worker` processes (spawned or remote) pay one copy per
 //!   worker, which is the price of actually being distributed.
 //! * **Report data is sacred** — item records (per-reception hop and
 //!   opinion vectors) feed `SimReport` and cannot be thinned without
@@ -404,8 +407,8 @@ pub mod shard;
 
 pub use driver::{planned_shard_node_counts, Simulation};
 pub use exchange::{
-    ChannelTransport, Command, ProcessTransport, Reply, ShardTransport, SocketTransport,
-    SupervisedTransport, Supervision, TransportError,
+    ChannelTransport, Command, Reply, ShardTransport, SocketTransport, SupervisedTransport,
+    Supervision, TransportError,
 };
 pub use partition::Partition;
 pub use shard::{ShardInit, ShardState};

@@ -813,7 +813,7 @@ fn message_dropped(
 /// every serve loop shares — the in-process channel workers ([`serve`])
 /// and the byte-stream transports
 /// ([`crate::engine::exchange::stream::serve_stream`], which the
-/// `sim-shard-worker` binary runs over pipes and sockets).
+/// `sim-shard-worker` binary runs over its TCP connection).
 pub fn handle_frame(state: &mut ShardState, frame: &[u8]) -> Option<Vec<u8>> {
     let cmd = exchange::decode_command(frame);
     if matches!(cmd, Command::Stop) {

@@ -2,9 +2,9 @@
 //!
 //! Every way of executing a simulation — any protocol (node-based or
 //! global baseline), any [`Scenario`], any shard count, any
-//! [`Transport`] (in-process threads, `sim-shard-worker` child
+//! [`Transport`] (in-process threads, locally spawned `sim-shard-worker`
 //! processes, or remote socket workers) — is expressed as one builder
-//! chain:
+//! chain, and it is the only public way to run one:
 //!
 //! ```no_run
 //! use whatsup_sim::{Runner, Protocol, SimConfig};
@@ -99,8 +99,10 @@ impl<'a> Runner<'a> {
     }
 
     /// Shorthand for [`Runner::transport`] with [`Transport::Process`]:
-    /// runs the shards as `sim-shard-worker` child processes found at
-    /// `worker` (stdio-pipe transport) instead of in-process threads.
+    /// runs the shards as local `sim-shard-worker` processes found at
+    /// `worker` instead of in-process threads — one
+    /// `--listen 127.0.0.1:0` child per shard, dialed over loopback, on
+    /// the same byte-stream transport as [`Runner::socket`].
     pub fn multiprocess(self, worker: impl Into<PathBuf>) -> Self {
         self.transport(Transport::Process(worker.into()))
     }
@@ -120,7 +122,8 @@ impl<'a> Runner<'a> {
     }
 
     /// Supervises the external transports: crashed or hung shard workers
-    /// are restarted (respawned children / redialed addresses) and
+    /// are restarted (spawned workers respawned, dialed addresses
+    /// redialed) and
     /// recovered by checkpoint/replay, up to `max_restarts` restarts per
     /// shard, with a checkpoint every `checkpoint_every` cycles.
     /// Determinism makes recovery exact — a supervised run that survives
@@ -222,20 +225,12 @@ impl<'a> Runner<'a> {
                             .run(),
                     )
                 }
-                Transport::Process(worker) => Simulation::run_multiprocess_scenario(
+                external => Simulation::run_external(
                     self.dataset,
                     node_protocol,
                     self.cfg,
                     scenario,
-                    &worker,
-                    self.supervision,
-                ),
-                Transport::Socket(workers) => Simulation::run_socket_scenario(
-                    self.dataset,
-                    node_protocol,
-                    self.cfg,
-                    scenario,
-                    &workers,
+                    external,
                     self.supervision,
                 ),
             },

@@ -1,12 +1,14 @@
 //! Shared helpers for the transport integration tests.
 
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Child, Stdio};
+use whatsup_sim::engine::exchange::socket;
 
-/// Spawns `sim-shard-worker --listen 127.0.0.1:0` with piped stdout and
-/// stderr, waits for its `LISTEN <addr>` line, and returns the child plus
-/// the bound address. Callers own the child: wait on it for an orderly
-/// exit, or kill it on the test's failure path.
+/// Spawns `sim-shard-worker --listen 127.0.0.1:0` with piped stderr,
+/// waits for its `LISTEN <addr>` line (read by the library's
+/// [`socket::spawn_listen_worker`]), and returns the child plus the bound
+/// address. Callers own the child: wait on it for an orderly exit, or kill
+/// it on the test's failure path.
 #[allow(dead_code)]
 pub fn spawn_listen_worker() -> (Child, String) {
     spawn_listen_worker_at("127.0.0.1:0")
@@ -16,24 +18,9 @@ pub fn spawn_listen_worker() -> (Child, String) {
 /// tests stand up a replacement listener on a crashed worker's port.
 #[allow(dead_code)]
 pub fn spawn_listen_worker_at(addr: &str) -> (Child, String) {
-    let worker = env!("CARGO_BIN_EXE_sim-shard-worker");
-    let mut child = Command::new(worker)
-        .args(["--listen", addr])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn sim-shard-worker --listen");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read the LISTEN line");
-    let addr = line
-        .trim()
-        .strip_prefix("LISTEN ")
-        .unwrap_or_else(|| panic!("expected 'LISTEN <addr>', got {line:?}"))
-        .to_string();
-    (child, addr)
+    let worker = Path::new(env!("CARGO_BIN_EXE_sim-shard-worker"));
+    socket::spawn_listen_worker(worker, addr, Stdio::piped())
+        .unwrap_or_else(|e| panic!("spawn sim-shard-worker --listen {addr}: {e}"))
 }
 
 /// Waits for a worker and asserts it exited 0 without a panic backtrace.

@@ -89,8 +89,9 @@ fn report_is_bit_identical_across_shard_counts_with_loss_and_churn() {
 
 #[test]
 fn multiprocess_transport_matches_in_process() {
-    // Small config: the multi-process path pays ~per-shard process spawn,
-    // so keep the population modest but the noise knobs on.
+    // Small config: the multi-process path pays a per-shard worker spawn
+    // (a local `--listen` process dialed over loopback), so keep the
+    // population modest but the noise knobs on.
     let d = survey::generate(&SurveyConfig::paper().scaled(0.08), 11);
     let base = SimConfig {
         cycles: 12,
@@ -112,7 +113,7 @@ fn multiprocess_transport_matches_in_process() {
         .expect("worker processes run");
     assert_eq!(
         in_process, multi_process,
-        "stdio-pipe transport must match the channel transport bit for bit"
+        "spawned-worker transport must match the channel transport bit for bit"
     );
 }
 
@@ -151,9 +152,10 @@ fn socket_transport_matches_in_process() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The three transports produce bit-identical reports for random seeds
-    /// and noise knobs. (Few cases: each spawns four worker processes and
-    /// runs three full simulations.)
+    /// In-process shards, spawned local workers and dialed socket workers
+    /// produce bit-identical reports for random seeds and noise knobs.
+    /// (Few cases: each spawns four worker processes and runs three full
+    /// simulations.)
     #[test]
     fn transports_are_bit_identical_under_random_noise(
         seed in 1u64..1_000_000,
@@ -183,8 +185,8 @@ proptest! {
             .try_run()
             .expect("worker processes run");
         prop_assert_eq!(&reference.series, &process.series,
-            "child-process transport diverged on the time series");
-        prop_assert_eq!(&reference, &process, "child-process transport diverged");
+            "spawned-worker transport diverged on the time series");
+        prop_assert_eq!(&reference, &process, "spawned-worker transport diverged");
         let (w1, a1) = common::spawn_listen_worker();
         let (w2, a2) = common::spawn_listen_worker();
         let socket = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })

@@ -1,9 +1,10 @@
 //! Fault injection for the worker/transport failure paths: a worker that
 //! is down, dies early, truncates a frame, or speaks the wrong protocol
 //! version must surface a typed error naming the endpoint — no hang, no
-//! panic — on both the process and the socket transport; and a worker
-//! that loses its driver must exit non-zero with a one-line message
-//! instead of a panic backtrace.
+//! panic — both for workers the driver spawns itself (`.multiprocess`)
+//! and for workers it dials (`.socket`); and a worker that loses its
+//! driver must exit non-zero with a one-line message instead of a panic
+//! backtrace.
 
 mod common;
 
@@ -129,7 +130,7 @@ fn truncated_reply_frame_fails_cleanly() {
 }
 
 // ---------------------------------------------------------------------------
-// Process transport, driver-side faults (impostor worker scripts)
+// Spawned workers, driver-side faults (impostor worker scripts)
 // ---------------------------------------------------------------------------
 
 /// Writes an executable shell script that plays a broken worker.
@@ -142,16 +143,10 @@ fn impostor_script(name: &str, body: &str) -> PathBuf {
     path
 }
 
-/// Octal-escapes bytes for a POSIX `printf`.
-fn printf_escape(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("\\{b:03o}")).collect()
-}
-
-/// The exact on-wire bytes of a hello frame at `version`.
-fn hello_frame(version: u16) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &encode_hello(version)).expect("in-memory write");
-    buf
+/// An impostor that announces `addr` (an in-test [`fake_worker`]) as its
+/// listening address and then idles, so the driver dials the fake.
+fn announcing_impostor(name: &str, addr: &str) -> PathBuf {
+    impostor_script(name, &format!("echo 'LISTEN {addr}'\nexec sleep 5"))
 }
 
 fn process_run_err(script: &PathBuf) -> String {
@@ -168,16 +163,16 @@ fn process_run_err(script: &PathBuf) -> String {
 #[test]
 fn worker_process_that_never_speaks_times_out_instead_of_hanging() {
     // A child that is alive but silent (e.g. not a shard worker at all):
-    // the bounded hello wait must kill it and fail typed, well before the
+    // the bounded LISTEN wait must kill it and fail typed, well before the
     // impostor's sleep ends.
     let script = impostor_script("mute", "sleep 30");
     let start = std::time::Instant::now();
     let msg = process_run_err(&script);
     assert!(
         start.elapsed() < std::time::Duration::from_secs(25),
-        "the hello wait must be bounded"
+        "the LISTEN wait must be bounded"
     );
-    assert!(msg.contains("no hello"), "error must explain: {msg}");
+    assert!(msg.contains("no LISTEN"), "error must explain: {msg}");
 }
 
 #[test]
@@ -208,31 +203,29 @@ fn worker_process_that_exits_immediately_fails_cleanly() {
 
 #[test]
 fn worker_process_with_version_skew_fails_cleanly() {
-    let hello = printf_escape(&hello_frame(PROTOCOL_VERSION + 99));
-    let script = impostor_script("skew", &format!("printf '{hello}'\nsleep 2"));
-    let msg = process_run_err(&script);
+    let (handle, addr) = fake_worker(|mut stream| {
+        write_frame(&mut stream, &encode_hello(PROTOCOL_VERSION + 99)).expect("send hello");
+        let _ = read_frame(&mut stream);
+    });
+    let msg = process_run_err(&announcing_impostor("skew", &addr));
     let want = format!("v{}", PROTOCOL_VERSION + 99);
     assert!(msg.contains(&want), "error must name the version: {msg}");
+    handle.join().expect("fake worker thread");
 }
 
 #[test]
 fn worker_process_that_truncates_a_frame_fails_cleanly() {
-    let hello = printf_escape(&hello_frame(PROTOCOL_VERSION));
-    // Valid hello, then a frame header promising 100 bytes followed by 3.
-    let torn = printf_escape(&{
-        let mut b = 100u32.to_le_bytes().to_vec();
-        b.extend_from_slice(b"abc");
-        b
+    let (handle, addr) = fake_worker(|mut stream| {
+        write_frame(&mut stream, &encode_hello(PROTOCOL_VERSION)).expect("send hello");
+        let _ = read_frame(&mut stream).expect("read handshake");
+        let _ = read_frame(&mut stream).expect("read first command");
+        // A frame header promising 100 bytes, followed by 3 and EOF.
+        stream.write_all(&100u32.to_le_bytes()).expect("header");
+        stream.write_all(b"abc").expect("torn payload");
     });
-    let script = impostor_script(
-        "truncate",
-        &format!("printf '{hello}'\nprintf '{torn}'\nsleep 2"),
-    );
-    let msg = process_run_err(&script);
-    assert!(
-        msg.contains("sim-shard-worker"),
-        "error must name the worker: {msg}"
-    );
+    let msg = process_run_err(&announcing_impostor("truncate", &addr));
+    assert!(msg.contains(&addr), "error must name the worker: {msg}");
+    handle.join().expect("fake worker thread");
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +310,7 @@ fn supervised_process_run_survives_a_worker_killed_mid_run() {
     let script = impostor_script(
         "kill-once",
         &format!(
-            "if mkdir '{lock}' 2>/dev/null; then\n  ( sleep 0.5; kill -9 $$ ) 2>/dev/null &\nfi\nexec '{worker}'",
+            "if mkdir '{lock}' 2>/dev/null; then\n  ( sleep 0.5; kill -9 $$ ) 2>/dev/null &\nfi\nexec '{worker}' \"$@\"",
             lock = lock.display()
         ),
     );
@@ -352,7 +345,7 @@ fn supervised_process_run_survives_a_crash_during_recovery() {
             "if mkdir '{locks}/first' 2>/dev/null; then\n  \
                ( sleep 0.5; kill -9 $$ ) 2>/dev/null &\n\
              elif mkdir '{locks}/second' 2>/dev/null; then\n  \
-               ( sleep 0.05; kill -9 $$ ) 2>/dev/null &\nfi\nexec '{worker}'",
+               ( sleep 0.05; kill -9 $$ ) 2>/dev/null &\nfi\nexec '{worker}' \"$@\"",
             locks = locks.display()
         ),
     );
@@ -366,6 +359,36 @@ fn supervised_process_run_survives_a_crash_during_recovery() {
     let _ = std::fs::remove_file(&script);
     let _ = std::fs::remove_dir_all(&locks);
     let survived = survived.expect("recovery must survive a crash during recovery");
+    assert_bit_identical(&survived, &reference);
+}
+
+#[test]
+fn supervised_process_run_recovers_a_hung_worker() {
+    let reference = fault_free_report();
+    let worker = env!("CARGO_BIN_EXE_sim-shard-worker");
+    // The first spawned worker freezes itself 500 ms in: SIGSTOP, not
+    // SIGKILL, so its connection stays open but goes silent — the failure
+    // mode only the read/write deadline can detect. The restart kills the
+    // frozen process and respawns the shard on a fresh port.
+    let lock = std::env::temp_dir().join(format!("whatsup-stop-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir(&lock);
+    let script = impostor_script(
+        "stop-once",
+        &format!(
+            "if mkdir '{lock}' 2>/dev/null; then\n  ( sleep 0.5; kill -STOP $$ ) 2>/dev/null &\nfi\nexec '{worker}' \"$@\"",
+            lock = lock.display()
+        ),
+    );
+    let d = dataset();
+    let survived = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
+        .config(recovery_cfg())
+        .shards(2)
+        .multiprocess(&script)
+        .supervision(test_supervision())
+        .try_run();
+    let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_dir(&lock);
+    let survived = survived.expect("the supervised run must recover the hung worker");
     assert_bit_identical(&survived, &reference);
 }
 
@@ -529,16 +552,17 @@ fn socket_worker_rejects_a_version_skewed_driver() {
 }
 
 #[test]
-fn stdio_worker_survives_a_driver_that_dies_before_the_handshake() {
+fn worker_without_listen_address_is_a_usage_error() {
     let worker = env!("CARGO_BIN_EXE_sim-shard-worker");
-    let child = std::process::Command::new(worker)
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    // Dropping the handles closes stdin: EOF before the handshake.
-    assert_one_line_failure(child, "stdio worker");
+    let out = std::process::Command::new(worker)
+        .output()
+        .expect("run worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "usage exit: {stderr}");
+    assert!(
+        stderr.starts_with("usage: sim-shard-worker --listen"),
+        "{stderr:?}"
+    );
 }
 
 #[test]
