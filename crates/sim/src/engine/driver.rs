@@ -12,8 +12,8 @@
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::exchange::socket::DIAL_RETRY_WINDOW;
 use crate::engine::exchange::{
-    Command, NewsOutcome, Outbound, Reply, ShardTransport, SocketTransport, SupervisedTransport,
-    Supervision, TransportError,
+    Bundle, Command, NewsOutcome, Outbound, Reply, ShardTransport, SocketTransport,
+    SupervisedTransport, Supervision, TransportError,
 };
 use crate::engine::partition::Partition;
 use crate::engine::shard::{self, ShardInit, ShardState};
@@ -38,10 +38,10 @@ pub(crate) struct DriverCore {
     scenario: Scenario,
     params: Params,
     dataset_name: String,
-    items: Vec<NewsItem>,
+    pub(super) items: Vec<NewsItem>,
     /// Cached content hashes of `items` (hashing is string-heavy).
     item_ids: Vec<whatsup_core::ItemId>,
-    sources: Vec<NodeId>,
+    pub(super) sources: Vec<NodeId>,
     /// cycle → dataset item indices published that cycle. Also serves the
     /// windowed ground-truth lookups (O(window), not O(items)).
     published_at_cycle: Vec<Vec<u32>>,
@@ -149,7 +149,7 @@ fn resolve_shards(requested: usize, n: usize) -> usize {
 /// overrides the oracle's dense/sparse byte-cost choice (`Some(true)` =
 /// CSR, `Some(false)` = bit-plane); the equivalence property tests use it
 /// to pin both representations to the same reports.
-fn build(
+pub(super) fn build(
     dataset: &Dataset,
     protocol: Protocol,
     cfg: SimConfig,
@@ -278,9 +278,13 @@ fn expect_outbound(replies: Vec<Reply>) -> Vec<Outbound> {
         .collect()
 }
 
-/// The bundles destined for `dest`, one per source shard in shard order.
-fn bundles_for(outs: &[Outbound], dest: usize) -> Vec<Bytes> {
-    outs.iter().map(|o| o.bundles[dest].clone()).collect()
+/// Moves the bundles destined for `dest` out of `outs`, one per source
+/// shard in shard order (typed mail moves without a copy; wire frames are
+/// forwarded unopened).
+fn bundles_for(outs: &mut [Outbound], dest: usize) -> Vec<Bundle> {
+    outs.iter_mut()
+        .map(|o| std::mem::take(&mut o.bundles[dest]))
+        .collect()
 }
 
 /// Fetches one node's view snapshot from its owning shard.
@@ -424,7 +428,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
                     dest,
                     Command::DeliverGossip {
                         cycle,
-                        bundles: bundles_for(&outs, dest),
+                        bundles: bundles_for(&mut outs, dest),
                     },
                 )
             })
@@ -596,7 +600,7 @@ fn disseminate(
                     Command::DeliverNews {
                         cycle,
                         item: item_id,
-                        bundles: bundles_for(&outs, dest),
+                        bundles: bundles_for(&mut outs, dest),
                     },
                 )
             })
@@ -821,12 +825,24 @@ impl Simulation {
     }
 
     /// Aggregated per-component heap accounting across shards
-    /// (diagnostics; see `ShardState::memory_breakdown`).
+    /// (diagnostics; see `ShardState::memory_breakdown`). Shards share
+    /// profile `Arc`s, so pinned snapshots are deduplicated by address over
+    /// the whole simulation, excluding every shard's own live profiles.
     #[doc(hidden)]
     pub fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
+        use std::collections::HashSet; // lint:allow(det-map) diagnostics only, result order is fixed below
+
+        // lint:allow(det-map) membership probe only; never iterated
+        let own: HashSet<usize> = self
+            .shards
+            .iter()
+            .flat_map(ShardState::own_profile_keys)
+            .collect();
+        // lint:allow(det-map) dedup probe for byte totals; never iterated
+        let mut pinned: HashSet<usize> = HashSet::new();
         let mut totals: Vec<(&'static str, usize)> = Vec::new();
         for shard in &self.shards {
-            for (name, bytes) in shard.memory_breakdown() {
+            for (name, bytes) in shard.memory_breakdown(&own, &mut pinned) {
                 match totals.iter_mut().find(|(n, _)| *n == name) {
                     Some((_, t)) => *t += bytes,
                     None => totals.push((name, bytes)),
@@ -882,7 +898,7 @@ impl Simulation {
 
     /// Advances one cycle: gossip phase, churn, then publications. With one
     /// shard the phases run inline; with more, each shard runs on its own
-    /// scoped worker thread and the phases exchange serialized bundles over
+    /// scoped worker thread and the phases exchange typed mail bundles over
     /// channels.
     pub fn step(&mut self) {
         assert!(
@@ -1235,6 +1251,39 @@ mod tests {
         let b = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, churny).run();
         assert_eq!(a, b, "churn must stay deterministic");
         assert!(a.scores().recall > 0.0);
+    }
+
+    /// Pinned snapshot bytes of a `shards`-shard run after `cycles` steps.
+    fn pinned_snapshot_bytes(d: &Dataset, shards: usize, cycles: usize) -> usize {
+        let cfg = SimConfig {
+            shards,
+            ..quick_cfg()
+        };
+        let mut sim = Simulation::new(d, Protocol::WhatsUp { f_like: 5 }, cfg);
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim.memory_breakdown()
+            .into_iter()
+            .find(|(name, _)| *name == "pinned snapshots")
+            .expect("pinned snapshots row")
+            .1
+    }
+
+    #[test]
+    fn cross_shard_mail_keeps_snapshot_sharing() {
+        // In-process shards trade typed mail, so a profile disclosed across
+        // a shard boundary stays one `Arc`: pinned snapshot memory must not
+        // grow with the shard count. A per-copy decode would give every
+        // remote copy its own allocation and roughly triple it.
+        let d = survey::generate(&SurveyConfig::paper().scaled(0.35), 42);
+        let one = pinned_snapshot_bytes(&d, 1, 12);
+        let two = pinned_snapshot_bytes(&d, 2, 12);
+        assert!(one > 0, "the run pins no snapshots");
+        assert!(
+            two as f64 <= 1.25 * one as f64,
+            "2 shards pin {two} snapshot bytes against {one} at 1 shard"
+        );
     }
 
     #[test]

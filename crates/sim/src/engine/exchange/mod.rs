@@ -2,23 +2,31 @@
 //!
 //! The driver orchestrates every phase as a lockstep *round-trip*: one
 //! [`Command`] per participating shard, one [`Reply`] back from each. The
-//! [`ShardTransport`] trait abstracts how the serialized frames move:
+//! [`ShardTransport`] trait abstracts how they move:
 //!
-//! * [`ChannelTransport`] — shards as worker threads, frames over
-//!   crossbeam channels (in-process);
+//! * [`ChannelTransport`] — shards as worker threads, command and reply
+//!   *values* over crossbeam channels (in-process);
 //! * [`SocketTransport`] — shards as `sim-shard-worker --listen` processes,
 //!   length-prefixed frames over TCP: either local children the transport
 //!   spawns and dials over loopback (multi-process), or already-listening
 //!   workers anywhere on the network (distributed);
-//! * the single-shard driver calls the shard inline without serializing.
+//! * the single-shard driver calls the shard inline.
 //!
 //! The [`stream`] submodule holds the byte-stream plumbing: length-prefixed
 //! framing over generic `Read`/`Write`, the versioned bootstrap handshake,
 //! and the worker serve loop — `sim-shard-worker` is a thin shell around
 //! it.
 //!
+//! Cross-shard mail travels as a [`Bundle`]: typed `(to, from, payload)`
+//! values between in-process shard threads (profile `Arc`s intact, no
+//! codec), or one opaque `whatsup-net` wire frame on a byte stream. Shards
+//! only ever see typed mail; the byte-stream dispatch point
+//! ([`crate::engine::shard::handle_frame`]) is the one place that converts,
+//! and the driver forwards wire bundles between workers without decoding
+//! them.
+//!
 //! Every frame is hand-encoded little-endian via the `bytes` buffers;
-//! mailbox traffic and view snapshots embed the `whatsup-net` wire codec's
+//! mailbox bundles and view snapshots embed the `whatsup-net` wire codec's
 //! encodings, so the two stacks share one message format. Command/reply
 //! payloads are engine-internal: both peers have already passed the
 //! versioned handshake, so a malformed *payload* is an engine bug and
@@ -42,7 +50,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io;
 use whatsup_core::beep::{DislikeRule, TargetPool};
-use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params};
+use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params, Payload};
 use whatsup_datasets::{CsrLikes, LikeMatrix, LikeStore};
 use whatsup_net::codec;
 
@@ -153,7 +161,7 @@ pub enum Command {
     Collect { cycle: u32 },
     /// Merge inbound gossip bundles (one per source shard, empty allowed)
     /// and drain the mailboxes; route the replies.
-    DeliverGossip { cycle: u32, bundles: Vec<Bytes> },
+    DeliverGossip { cycle: u32, bundles: Vec<Bundle> },
     /// Draw the per-node crash coins and rejoin contacts.
     ChurnDecide { cycle: u32 },
     /// Snapshot the views of the given owned nodes (pre-churn state).
@@ -179,7 +187,7 @@ pub enum Command {
     DeliverNews {
         cycle: u32,
         item: ItemId,
-        bundles: Vec<Bytes>,
+        bundles: Vec<Bundle>,
     },
     /// Serialize the shard's full state (issued at a cycle boundary, where
     /// the mailboxes are provably empty). Answered with
@@ -193,6 +201,35 @@ pub enum Command {
     Stop,
 }
 
+/// One source shard's mail for one destination shard in one round.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Bundle {
+    /// Typed `(to, from, payload)` mail in `(sender id, emission order)`
+    /// order — what shards produce and consume. In-process transports move
+    /// it as is, so shared profile `Arc`s cross shard threads intact.
+    Mail(Vec<(NodeId, NodeId, Payload)>),
+    /// The same mail as one `whatsup-net` `MAILBOX_BUNDLE` frame — its form
+    /// on a byte stream. Only [`crate::engine::shard::handle_frame`]
+    /// converts between the two; the driver forwards it unopened.
+    Wire(Bytes),
+}
+
+impl Default for Bundle {
+    fn default() -> Self {
+        Bundle::Mail(Vec::new())
+    }
+}
+
+impl Bundle {
+    /// Whether the bundle carries no mail (in either form).
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Bundle::Mail(mail) => mail.is_empty(),
+            Bundle::Wire(frame) => frame.is_empty(),
+        }
+    }
+}
+
 /// Routed emissions of one shard for one round: the total emission count
 /// (for traffic accounting, self-shard mail included) and one bundle per
 /// destination shard (empty for none; the self slot is always empty —
@@ -204,7 +241,7 @@ pub struct Outbound {
     /// driver uses this to skip delivery round-trips to shards with no
     /// inbound mail at all (sparse BFS tails).
     pub local: u64,
-    pub bundles: Vec<Bytes>,
+    pub bundles: Vec<Bundle>,
 }
 
 impl Outbound {
@@ -213,7 +250,7 @@ impl Outbound {
         Outbound {
             sent: 0,
             local: 0,
-            bundles: vec![Bytes::new(); shards],
+            bundles: vec![Bundle::default(); shards],
         }
     }
 }
@@ -258,6 +295,19 @@ pub enum Reply {
     /// [`crate::engine::shard::ShardState::encode_checkpoint`] for the
     /// frame layout).
     Checkpoint(Bytes),
+}
+
+impl Reply {
+    /// The routed mail of a phase reply (collect, gossip delivery, publish
+    /// or news delivery); `None` for every other reply.
+    pub fn outbound_mut(&mut self) -> Option<&mut Outbound> {
+        match self {
+            Reply::Outbound(out)
+            | Reply::Published { out, .. }
+            | Reply::NewsDelivered { out, .. } => Some(out),
+            _ => None,
+        }
+    }
 }
 
 /// Moves command/reply frames between the driver and the shard workers.
@@ -312,16 +362,42 @@ fn get_str(buf: &mut &[u8]) -> String {
     out
 }
 
-fn put_bundle_list(buf: &mut BytesMut, bundles: &[Bytes]) {
-    buf.put_u32_le(bundles.len() as u32);
-    for b in bundles {
-        put_bytes(buf, b);
+fn put_bytes_list(buf: &mut BytesMut, frames: &[Bytes]) {
+    buf.put_u32_le(frames.len() as u32);
+    for f in frames {
+        put_bytes(buf, f);
     }
 }
 
-fn get_bundle_list(buf: &mut &[u8]) -> Vec<Bytes> {
+fn get_bytes_list(buf: &mut &[u8]) -> Vec<Bytes> {
     let n = buf.get_u32_le() as usize;
     (0..n).map(|_| get_bytes(buf)).collect()
+}
+
+/// Bundles on a byte stream are wire frames; an empty bundle of either
+/// form is a zero-length frame.
+///
+/// # Panics
+/// Panics on non-empty typed mail: the byte-stream boundary
+/// ([`crate::engine::shard::handle_frame`]) encodes a shard's outbound mail
+/// before its reply is framed, and the driver only ever forwards the wire
+/// bundles it received.
+fn put_bundles(buf: &mut BytesMut, bundles: &[Bundle]) {
+    buf.put_u32_le(bundles.len() as u32);
+    for b in bundles {
+        match b {
+            Bundle::Wire(frame) => put_bytes(buf, frame),
+            Bundle::Mail(mail) => {
+                assert!(mail.is_empty(), "typed mail reached the frame codec");
+                buf.put_u32_le(0);
+            }
+        }
+    }
+}
+
+fn get_bundles(buf: &mut &[u8]) -> Vec<Bundle> {
+    let n = buf.get_u32_le() as usize;
+    (0..n).map(|_| Bundle::Wire(get_bytes(buf))).collect()
 }
 
 pub(crate) fn put_news_item(buf: &mut BytesMut, item: &NewsItem) {
@@ -393,7 +469,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
         Command::DeliverGossip { cycle, bundles } => {
             buf.put_u8(CMD_DELIVER_GOSSIP);
             buf.put_u32_le(*cycle);
-            put_bundle_list(&mut buf, bundles);
+            put_bundles(&mut buf, bundles);
         }
         Command::ChurnDecide { cycle } => {
             buf.put_u8(CMD_CHURN_DECIDE);
@@ -428,7 +504,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             buf.put_u8(CMD_DELIVER_NEWS);
             buf.put_u32_le(*cycle);
             buf.put_u64_le(*item);
-            put_bundle_list(&mut buf, bundles);
+            put_bundles(&mut buf, bundles);
         }
         Command::Admit {
             reference,
@@ -464,7 +540,7 @@ pub fn decode_command(mut frame: &[u8]) -> Command {
         },
         CMD_DELIVER_GOSSIP => Command::DeliverGossip {
             cycle: buf.get_u32_le(),
-            bundles: get_bundle_list(buf),
+            bundles: get_bundles(buf),
         },
         CMD_CHURN_DECIDE => Command::ChurnDecide {
             cycle: buf.get_u32_le(),
@@ -495,7 +571,7 @@ pub fn decode_command(mut frame: &[u8]) -> Command {
         CMD_DELIVER_NEWS => Command::DeliverNews {
             cycle: buf.get_u32_le(),
             item: buf.get_u64_le(),
-            bundles: get_bundle_list(buf),
+            bundles: get_bundles(buf),
         },
         CMD_ADMIT => {
             let reference = buf.get_u32_le();
@@ -530,14 +606,14 @@ const REP_CHECKPOINT: u8 = 8;
 fn put_outbound(buf: &mut BytesMut, out: &Outbound) {
     buf.put_u64_le(out.sent);
     buf.put_u64_le(out.local);
-    put_bundle_list(buf, &out.bundles);
+    put_bundles(buf, &out.bundles);
 }
 
 fn get_outbound(buf: &mut &[u8]) -> Outbound {
     Outbound {
         sent: buf.get_u64_le(),
         local: buf.get_u64_le(),
-        bundles: get_bundle_list(buf),
+        bundles: get_bundles(buf),
     }
 }
 
@@ -558,7 +634,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
         }
         Reply::Snapshots(snaps) => {
             buf.put_u8(REP_SNAPSHOTS);
-            put_bundle_list(&mut buf, snaps);
+            put_bytes_list(&mut buf, snaps);
         }
         Reply::Ack => buf.put_u8(REP_ACK),
         Reply::Published {
@@ -618,7 +694,7 @@ pub fn decode_reply(mut frame: &[u8]) -> Reply {
                     .collect(),
             )
         }
-        REP_SNAPSHOTS => Reply::Snapshots(get_bundle_list(buf)),
+        REP_SNAPSHOTS => Reply::Snapshots(get_bytes_list(buf)),
         REP_ACK => Reply::Ack,
         REP_PUBLISHED => {
             let has_hop = buf.get_u8() != 0;
@@ -971,13 +1047,14 @@ pub fn decode_init(mut frame: &[u8]) -> ShardInit {
 /// [`Reply`] *values* over channels. The worker threads run
 /// [`crate::engine::shard::serve`].
 ///
-/// No command/reply codec runs on this path: the workers share the
-/// driver's address space, so the `Bytes` bundles inside commands and
-/// replies travel as refcounted clones. Encoding frames here would
-/// deep-copy every gossip bundle once per shard per phase — the dominant
-/// term in the multi-shard in-process memory footprint. The byte-stream
-/// transport ([`SocketTransport`]) still exercises the full codec, and bundles themselves are wire-encoded on every
-/// transport, so cross-transport byte parity is unaffected.
+/// No codec runs on this path: the workers share the driver's address
+/// space, so cross-shard mail moves as typed [`Bundle::Mail`] values —
+/// the driver moves each bundle out of the emitting shard's reply into the
+/// receiving shard's command, and every shared profile `Arc` in it arrives
+/// intact (one snapshot allocation however many shards reference it, and
+/// merge-score memo hits on remote profiles). The byte-stream transport
+/// ([`SocketTransport`]) exercises the full codec, so wire parity is
+/// still checked end to end.
 pub struct ChannelTransport {
     to: Vec<crossbeam::channel::Sender<Command>>,
     from: Vec<crossbeam::channel::Receiver<Reply>>,
@@ -1037,7 +1114,10 @@ mod tests {
             Command::Collect { cycle: 7 },
             Command::DeliverGossip {
                 cycle: 7,
-                bundles: vec![Bytes::new(), Bytes::copy_from_slice(b"abc")],
+                bundles: vec![
+                    Bundle::Wire(Bytes::new()),
+                    Bundle::Wire(Bytes::copy_from_slice(b"abc")),
+                ],
             },
             Command::ChurnDecide { cycle: 9 },
             Command::TakeSnapshots { ids: vec![3, 5, 8] },
@@ -1052,7 +1132,7 @@ mod tests {
             Command::DeliverNews {
                 cycle: 3,
                 item: 0xdead_beef,
-                bundles: vec![Bytes::copy_from_slice(b"zz")],
+                bundles: vec![Bundle::Wire(Bytes::copy_from_slice(b"zz"))],
             },
             Command::Admit {
                 reference: 4,
@@ -1080,7 +1160,10 @@ mod tests {
             Reply::Outbound(Outbound {
                 sent: 12,
                 local: 3,
-                bundles: vec![Bytes::new(), Bytes::copy_from_slice(b"q")],
+                bundles: vec![
+                    Bundle::Wire(Bytes::new()),
+                    Bundle::Wire(Bytes::copy_from_slice(b"q")),
+                ],
             }),
             Reply::ChurnDecisions(vec![(1, 9), (4, 2)]),
             Reply::Snapshots(vec![Bytes::copy_from_slice(b"snap")]),

@@ -1,7 +1,9 @@
 //! The byte-stream transport: shard workers as `sim-shard-worker --listen`
 //! processes reachable over TCP. This is what lets shard workers live on
-//! other machines: the bundle payloads already are the `whatsup-net` wire
-//! codec.
+//! other machines: on this transport, mail bundles cross as `whatsup-net`
+//! wire frames, encoded and decoded by the workers themselves
+//! ([`crate::engine::shard::handle_frame`]); the driver forwards them
+//! unopened.
 //!
 //! Workers come from one of two places, and the conversation is the same
 //! for both:

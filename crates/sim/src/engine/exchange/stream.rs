@@ -245,8 +245,9 @@ pub fn accept_handshake(
 /// the stream (killed mid-run) is a [`WorkerError::ConnectionLost`], so the
 /// worker process can exit non-zero with a one-line message instead of a
 /// panic backtrace. Command dispatch is
-/// [`crate::engine::shard::handle_frame`], shared with the channel-thread
-/// workers, so the transports cannot diverge on command semantics.
+/// [`crate::engine::shard::handle_frame`], which converts wire mail at the
+/// boundary and runs the same [`ShardState::handle`] the channel-thread
+/// workers run, so the transports cannot diverge on command semantics.
 pub fn serve_stream(
     state: &mut ShardState,
     input: &mut impl Read,

@@ -1,4 +1,4 @@
-//! Per-node mailboxes and the serialized mailbox-bundle exchange.
+//! Per-node mailboxes.
 //!
 //! A [`Mailbox`] owns the mail for one shard's node range, stored in a
 //! per-shard **arena**: one contiguous entry vector plus per-node chain
@@ -6,14 +6,9 @@
 //! to the arena in arrival order (`O(1)`, no per-node allocation); the
 //! deliver step drains receivers in ascending id order by walking their
 //! chains; [`Mailbox::recycle`] then resets the arena *keeping its
-//! capacity*, so steady-state rounds allocate nothing. Bundles are encoded
-//! with the `whatsup-net` wire codec (`MAILBOX_BUNDLE` frames), so
-//! cross-shard traffic uses exactly the deployment stack's message
-//! encoding.
+//! capacity*, so steady-state rounds allocate nothing.
 
-use std::collections::BTreeMap;
-use whatsup_core::{ItemId, NewsItem, NodeId, Payload};
-use whatsup_net::codec;
+use whatsup_core::{NodeId, Payload};
 
 /// One addressed in-flight message.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,61 +175,9 @@ impl Mailbox {
     }
 }
 
-/// Encodes one shard's outbound mail for another shard as a wire bundle.
-/// `items` resolves news ids to content (news travels as content on the
-/// wire; ids are recomputed by the receiver).
-pub fn encode_shard_bundle(
-    from_shard: u32,
-    entries: &[(NodeId, NodeId, Payload)],
-    items: &BTreeMap<ItemId, NewsItem>,
-) -> bytes::Bytes {
-    codec::encode_bundle(from_shard, entries, |id| items.get(&id).cloned())
-}
-
-/// Streams a wire bundle's mail entries to `sink` without materializing an
-/// intermediate vector: each inner frame is decoded as a borrowed view over
-/// `frame` and converted straight into its payload. Each *distinct* news
-/// content is passed to `register` once per repetition run (the receiving
-/// shard caches it so its nodes can re-forward the item later); consecutive
-/// entries with identical content or profile bytes decode through a
-/// [`codec::NewsDecodeCache`], which turns a fan-out's repeated copies into
-/// `Arc` clones of one parse.
-///
-/// # Panics
-/// Panics on malformed frames: bundles only travel the engine's own
-/// transports, so corruption is an engine bug.
-pub fn decode_shard_bundle_each(
-    frame: &[u8],
-    register: &mut impl FnMut(NewsItem),
-    mut sink: impl FnMut(NodeId, NodeId, Payload),
-) {
-    let view = codec::bundle_view(frame).expect("malformed shard bundle");
-    let mut cache = codec::NewsDecodeCache::default();
-    for entry in view {
-        let (to, inner) = entry.expect("malformed shard bundle entry");
-        let (from, payload, fresh_item) =
-            codec::decode_bundle_entry(inner, &mut cache).expect("malformed bundled message");
-        if let Some(item) = fresh_item {
-            register(item);
-        }
-        sink(to, from, payload);
-    }
-}
-
-/// Decodes a wire bundle into owned mail entries (see
-/// [`decode_shard_bundle_each`] for the streaming form the engine uses).
-pub fn decode_shard_bundle(frame: &[u8], register: &mut impl FnMut(NewsItem)) -> Vec<MailEntry> {
-    let mut entries = Vec::new();
-    decode_shard_bundle_each(frame, register, |to, from, payload| {
-        entries.push(MailEntry { to, from, payload });
-    });
-    entries
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whatsup_core::{NewsMessage, Profile, SharedProfile};
 
     fn entry(to: NodeId, from: NodeId) -> MailEntry {
         MailEntry {
@@ -285,33 +228,5 @@ mod tests {
     #[should_panic(expected = "wrong shard")]
     fn foreign_id_rejected() {
         Mailbox::new(10..20).push(entry(3, 0));
-    }
-
-    #[test]
-    fn bundle_roundtrip_restores_mail_and_registers_items() {
-        let item = NewsItem::new("t", "d", "l", 4, 2);
-        let mut items = BTreeMap::new();
-        items.insert(item.id(), item.clone());
-        let entries = vec![
-            (
-                7u32,
-                4u32,
-                Payload::News(NewsMessage {
-                    header: item.header(),
-                    profile: SharedProfile::new(Profile::new()),
-                    dislikes: 0,
-                    hops: 1,
-                }),
-            ),
-            (8u32, 5u32, Payload::WupRequest(vec![])),
-        ];
-        let frame = encode_shard_bundle(0, &entries, &items);
-        let mut registered = Vec::new();
-        let mail = decode_shard_bundle(&frame, &mut |i| registered.push(i));
-        assert_eq!(mail.len(), 2);
-        assert_eq!((mail[0].to, mail[0].from), (7, 4));
-        assert_eq!(mail[0].payload, entries[0].2);
-        assert_eq!(mail[1].payload, entries[1].2);
-        assert_eq!(registered, vec![item]);
     }
 }

@@ -25,13 +25,18 @@
 //! 1. **Collect** — every shard runs [`whatsup_core::WhatsUpNode::on_cycle`]
 //!    for its nodes in id order, emitting RPS/WUP requests.
 //! 2. **Route/exchange** — each shard groups its emissions by destination
-//!    shard and serializes each group into a *mailbox bundle* (the
-//!    `whatsup-net` wire codec's bundle frame: addressed single-message
-//!    frames, in `(sender id, emission order)` order). The driver forwards
-//!    every bundle to its destination shard through the pluggable
-//!    [`exchange::ShardTransport`]. Messages that stay on their own shard
-//!    skip serialization entirely and wait in the shard's local pending
-//!    queue.
+//!    shard into one *mailbox bundle* per destination
+//!    ([`exchange::Bundle`]: typed `(to, from, payload)` mail in
+//!    `(sender id, emission order)` order). The driver moves every bundle
+//!    to its destination shard through the pluggable
+//!    [`exchange::ShardTransport`]. Between in-process shard threads the
+//!    bundle travels as a value, shared profile `Arc`s intact, and never
+//!    touches the codec. Only a byte stream needs bytes: there the bundle
+//!    is the `whatsup-net` wire codec's bundle frame (addressed
+//!    single-message frames), encoded and decoded at the worker's frame
+//!    dispatch ([`shard::handle_frame`]) and forwarded unopened by the
+//!    driver. Messages that stay on their own shard wait in the shard's
+//!    local pending queue.
 //! 3. **Deliver** — each shard merges the inbound bundles *in source-shard
 //!    order* (its own pending queue takes its shard's slot) into per-node
 //!    mailboxes, then drains each receiver in ascending id order, drawing
@@ -153,7 +158,11 @@
 //!
 //! # Shard-exchange protocol
 //!
-//! Bundle layout (see `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`,
+//! On a byte stream a bundle is one wire frame; in-process it is the typed
+//! mail that frame decodes to, and [`shard::handle_frame`] is the only
+//! place that converts between the two (a unit test pins typed and wire
+//! delivery to equal replies, payloads and registered news content).
+//! Wire layout (see `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`,
 //! `from_shard:u32`, `count:u32`, then `count` entries of
 //! `to:u32 len:u32 frame`, where `frame` is the standard single-message
 //! wire frame — the simulator and the deployment stack share one message
@@ -223,22 +232,29 @@
 //!   delivery round allocates. Receiver lists cycle through a spare
 //!   buffer (`take_receivers`/`restore_receiver_buf`) for the same
 //!   reason.
-//! * **Zero-copy bundle decode** — inbound bundles are walked with
-//!   `codec::bundle_view`, an iterator of borrowed `(to, frame)` slices
-//!   over the received buffer; each inner frame decodes straight into its
-//!   payload and lands in the arena. No intermediate `Vec<MailEntry>`, no
-//!   per-entry frame copies. The borrow ends before the next round's
-//!   buffers are touched, so the scratch frames can be reused.
-//! * **Encode scratch reuse** — outbound routing drains into per-shard
-//!   staging vectors (`emit_scratch`/`route_scratch`) and encodes through
-//!   one per-shard `encode_buf`, all drained or cleared rather than
-//!   dropped, so their capacity carries cycle-over-cycle.
+//! * **Typed in-process exchange** — cross-shard mail between shard
+//!   threads moves as typed values: the emitting shard's route step moves
+//!   each payload into its destination's bundle, the driver moves the
+//!   bundle into the receiving shard's command, and the receiver pushes
+//!   the payloads into its arena. Nothing is encoded, decoded or copied,
+//!   which matters because every news copy carries its aggregated item
+//!   profile (`~2 KB` at 5k nodes).
+//! * **Codec only behind byte streams** — a `sim-shard-worker`'s frame
+//!   dispatch decodes inbound wire bundles with `codec::bundle_view`, an
+//!   iterator of borrowed `(to, frame)` slices over the received buffer
+//!   (no per-entry frame copies), and encodes the reply's outbound mail
+//!   once, straight from the typed bundles.
+//! * **Staging reuse** — outbound routing drains the per-shard
+//!   `emit_scratch` rather than dropping it, so its capacity carries
+//!   cycle-over-cycle; the per-destination bundles it fills are consumed
+//!   by their receivers.
 //! * **Copy-on-write item profiles** — a news message carries its
 //!   aggregated profile as an `Arc` ([`whatsup_core::SharedProfile`]):
 //!   fanning one reception out to `fLIKE` targets clones the pointer, not
 //!   the entries, and the next hop that actually aggregates builds its
-//!   merged profile straight from the shared predecessor. Cross-shard,
-//!   the per-bundle `codec::NewsDecodeCache` restores that sharing on the
+//!   merged profile straight from the shared predecessor. In-process the
+//!   `Arc` crosses shard boundaries as is. Behind a byte stream, the
+//!   per-bundle `codec::NewsDecodeCache` restores the sharing on the
 //!   receiving side: consecutive bundle entries with byte-identical item
 //!   content or profile spans reuse one parse (byte equality is exact —
 //!   the decoders are pure functions of the bytes).
@@ -297,9 +313,14 @@
 //!   it (and the candidate snapshots it pins) across the news phase
 //!   would stack dead weight under live growth.
 //! * **Snapshot sharing** — a disclosed profile is one `Arc` allocation
-//!   shared by every view slot and in-flight message that references it;
-//!   "pinned view snapshots" counts each allocation once. Cross-shard
-//!   the decode cache restores the sharing on the receiving side.
+//!   shared by every view slot and in-flight message that references it,
+//!   on every in-process shard: typed cross-shard mail carries the `Arc`
+//!   itself. "Pinned view snapshots" counts each allocation once across
+//!   all shards (deduplicated by address, excluding every shard's own
+//!   profiles), and a unit test keeps the 2-shard figure within 1.25× of
+//!   1 shard. Byte-stream workers decode their own copies; only the
+//!   per-bundle decode cache shares them, so interning remote profiles
+//!   would only pay off there.
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:
@@ -345,7 +366,9 @@
 //!   state, so application order cannot matter;
 //! * the wire codec is lossless for everything behavior depends on
 //!   (profiles round-trip entry-exact, scores bit-exact, item ids are
-//!   recomputed from identical content).
+//!   recomputed from identical content), so a byte-stream worker fed
+//!   decoded mail handles exactly the payloads an in-process shard
+//!   receives as typed values.
 //!
 //! The interactive mutators (`add_joining_node`, `swap_interests`,
 //! `reset_node`) draw from a dedicated engine RNG on the driving thread and
@@ -407,7 +430,7 @@ pub mod shard;
 
 pub use driver::{planned_shard_node_counts, Simulation};
 pub use exchange::{
-    ChannelTransport, Command, Reply, ShardTransport, SocketTransport, SupervisedTransport,
+    Bundle, ChannelTransport, Command, Reply, ShardTransport, SocketTransport, SupervisedTransport,
     Supervision, TransportError,
 };
 pub use partition::Partition;

@@ -7,8 +7,10 @@
 //! which is exactly what keeps the execution identical across shard counts
 //! and transports (see the module docs of [`crate::engine`]).
 
-use crate::engine::exchange::{self, Command, FirstReception, NewsOutcome, Outbound, Reply};
-use crate::engine::mailbox::{decode_shard_bundle_each, MailEntry, Mailbox};
+use crate::engine::exchange::{
+    self, Bundle, Command, FirstReception, NewsOutcome, Outbound, Reply,
+};
+use crate::engine::mailbox::{MailEntry, Mailbox};
 use crate::engine::partition::Partition;
 use crate::engine::{node_stream, phase};
 use crate::oracle::Oracle;
@@ -90,17 +92,14 @@ pub struct ShardState {
     /// into the mailboxes at this shard's slot of the next deliver.
     pending_local: Vec<MailEntry>,
     /// News content this shard can re-encode (learned from publishes and
-    /// inbound news frames, like a real receiver).
+    /// inbound news frames, like a real receiver). Only the byte-stream
+    /// boundary ([`handle_frame`]) reads it; in-process mail never encodes.
     // lint:allow(det-map) BuildIdHasher keys, probed by id only; checkpoint encode sorts entries
     known_items: HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
     /// Route-phase staging, reused round-over-round (capacity kept): the
-    /// emissions of the current phase loop, and the per-destination-shard
-    /// buckets [`Self::route_out`] groups them into.
+    /// emissions of the current phase loop, which [`Self::route_out`]
+    /// groups by destination shard.
     emit_scratch: Vec<(NodeId, OutMessage)>,
-    route_scratch: Vec<Vec<(NodeId, NodeId, Payload)>>,
-    /// Bundle encode buffer, reused round-over-round so steady-state
-    /// encoding never grows a fresh allocation.
-    encode_buf: BytesMut,
 }
 
 impl ShardState {
@@ -144,8 +143,6 @@ impl ShardState {
             pending_local: Vec::new(),
             known_items: HashMap::default(), // lint:allow(det-map) see field declaration
             emit_scratch: Vec::new(),
-            route_scratch: Vec::new(),
-            encode_buf: BytesMut::new(),
         }
     }
 
@@ -180,24 +177,31 @@ impl ShardState {
         self.node(id).views_snapshot()
     }
 
+    /// Addresses of the owned nodes' live profiles — the keys
+    /// [`Self::memory_breakdown`] excludes from pinned snapshots.
+    pub(crate) fn own_profile_keys(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nodes
+            .iter()
+            .map(|n| n.profile().entries().as_ptr() as usize)
+    }
+
     /// Heap accounting by component (diagnostics; backs the byte-budget
     /// table in the engine module docs). Returns `(component, bytes)`
-    /// rows. Snapshot bytes count each distinct pinned profile `Arc` once,
-    /// excluding the nodes' own live profiles.
-    #[doc(hidden)]
-    pub fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
-        use std::collections::HashSet; // lint:allow(det-map) diagnostics only, result order is fixed below
+    /// rows. In-process shards share profile `Arc`s, so the snapshot dedup
+    /// state spans the whole simulation: a pinned profile counts once, on
+    /// the first shard that reaches it (its address enters `pinned`), and
+    /// any node's own live profile (`own`, from every shard's
+    /// [`Self::own_profile_keys`]) is never counted as a snapshot.
+    pub(crate) fn memory_breakdown(
+        &self,
+        // lint:allow(det-map) membership probe only; never iterated
+        own: &std::collections::HashSet<usize>,
+        // lint:allow(det-map) dedup probe for byte totals; never iterated
+        pinned: &mut std::collections::HashSet<usize>,
+    ) -> Vec<(&'static str, usize)> {
         let mut profiles = 0usize;
         let mut seen = 0usize;
         let mut caches = 0usize;
-        // lint:allow(det-map) dedup probe for byte totals; never iterated
-        let mut pinned: HashSet<usize> = HashSet::new();
-        // lint:allow(det-map) membership probe only; never iterated
-        let own: HashSet<usize> = self
-            .nodes
-            .iter()
-            .map(|n| n.profile().entries().as_ptr() as usize)
-            .collect();
         let mut snapshot_bytes = 0usize;
         for node in &self.nodes {
             let (p, s, c) = node.debug_heap_stats(&mut |shared| {
@@ -266,7 +270,7 @@ impl ShardState {
         match cmd {
             Command::Collect { cycle } => Reply::Outbound(self.collect(cycle)),
             Command::DeliverGossip { cycle, bundles } => {
-                Reply::Outbound(self.deliver_gossip(cycle, &bundles))
+                Reply::Outbound(self.deliver_gossip(cycle, bundles))
             }
             Command::ChurnDecide { cycle } => Reply::ChurnDecisions(self.churn_decide(cycle)),
             Command::TakeSnapshots { ids } => Reply::Snapshots(
@@ -304,7 +308,7 @@ impl ShardState {
                 cycle,
                 item,
                 bundles,
-            } => self.deliver_news(cycle, item, &bundles),
+            } => self.deliver_news(cycle, item, bundles),
             Command::TakeCheckpoint => Reply::Checkpoint(self.encode_checkpoint()),
             Command::Restore { frame } => {
                 self.restore_checkpoint(&frame);
@@ -428,18 +432,16 @@ impl ShardState {
     }
 
     /// Groups the staged emissions ([`Self::emit_scratch`]) by destination
-    /// shard: local mail queues without serialization, remote mail becomes
-    /// one wire bundle per destination (in emission order, which the
-    /// emitting loops keep in `(sender id, emission order)` order). All
-    /// staging buffers are drained, not dropped — their capacity carries to
+    /// shard: local mail queues in the pending queue, remote mail becomes
+    /// one typed [`Bundle::Mail`] per destination (in emission order, which
+    /// the emitting loops keep in `(sender id, emission order)` order).
+    /// The staging buffer is drained, not dropped — its capacity carries to
     /// the next round.
     fn route_out(&mut self) -> Outbound {
         let shards = self.partition.n_shards();
-        if self.route_scratch.len() != shards {
-            self.route_scratch.resize_with(shards, Vec::new);
-        }
         let sent = self.emit_scratch.len() as u64;
         let mut local = 0u64;
+        let mut mail: Vec<Vec<(NodeId, NodeId, Payload)>> = vec![Vec::new(); shards];
         for (from, m) in self.emit_scratch.drain(..) {
             let dest = self.partition.shard_of(m.to);
             if dest == self.index {
@@ -450,28 +452,13 @@ impl ShardState {
                     payload: m.payload,
                 });
             } else {
-                self.route_scratch[dest].push((m.to, from, m.payload));
+                mail[dest].push((m.to, from, m.payload));
             }
         }
-        let bundles = self
-            .route_scratch
-            .iter_mut()
-            .map(|entries| {
-                if entries.is_empty() {
-                    return Bytes::new();
-                }
-                self.encode_buf.clear();
-                codec::encode_bundle_into(&mut self.encode_buf, self.index as u32, entries, |id| {
-                    self.known_items.get(&id).cloned()
-                });
-                entries.clear();
-                Bytes::copy_from_slice(&self.encode_buf)
-            })
-            .collect();
         Outbound {
             sent,
             local,
-            bundles,
+            bundles: mail.into_iter().map(Bundle::Mail).collect(),
         }
     }
 
@@ -480,27 +467,28 @@ impl ShardState {
     /// its slot). With contiguous ascending shard ranges this reproduces
     /// the global `(sender id, emission order)` mailbox order of a
     /// single-shard run.
-    fn merge_inbound(&mut self, bundles: &[Bytes]) {
+    ///
+    /// # Panics
+    /// Panics on a non-empty [`Bundle::Wire`]: byte-stream mail is decoded
+    /// by [`handle_frame`] before the command reaches the shard.
+    fn merge_inbound(&mut self, bundles: Vec<Bundle>) {
         debug_assert_eq!(bundles.len(), self.partition.n_shards());
-        let Self {
-            pending_local,
-            mailbox,
-            known_items,
-            ..
-        } = self;
-        for (src, bundle) in bundles.iter().enumerate() {
+        for (src, bundle) in bundles.into_iter().enumerate() {
             if src == self.index {
-                for entry in pending_local.drain(..) {
-                    mailbox.push(entry);
+                for entry in self.pending_local.drain(..) {
+                    self.mailbox.push(entry);
                 }
-            } else if !bundle.is_empty() {
-                decode_shard_bundle_each(
-                    bundle,
-                    &mut |item| {
-                        known_items.insert(item.id(), item);
-                    },
-                    |to, from, payload| mailbox.push_parts(to, from, payload),
-                );
+                continue;
+            }
+            match bundle {
+                Bundle::Mail(mail) => {
+                    for (to, from, payload) in mail {
+                        self.mailbox.push_parts(to, from, payload);
+                    }
+                }
+                Bundle::Wire(frame) => {
+                    assert!(frame.is_empty(), "wire bundle reached the shard undecoded");
+                }
             }
         }
     }
@@ -578,7 +566,7 @@ impl ShardState {
     }
 
     /// One gossip delivery round over the owned receivers, ascending.
-    fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Outbound {
+    fn deliver_gossip(&mut self, cycle: u32, bundles: Vec<Bundle>) -> Outbound {
         self.merge_inbound(bundles);
         let receivers = self.mailbox.take_receivers();
         let base = self.base();
@@ -689,7 +677,7 @@ impl ShardState {
 
     /// One news (BFS) delivery round over the owned receivers, ascending,
     /// reporting per-receiver reception outcomes for the driver's fold.
-    fn deliver_news(&mut self, cycle: u32, item_id: ItemId, bundles: &[Bytes]) -> Reply {
+    fn deliver_news(&mut self, cycle: u32, item_id: ItemId, bundles: Vec<Bundle>) -> Reply {
         self.merge_inbound(bundles);
         let receivers = self.mailbox.take_receivers();
         let base = self.base();
@@ -809,31 +797,95 @@ fn message_dropped(
 }
 
 /// Executes one command frame against the shard: `None` when the frame is
-/// a `Stop`, otherwise the encoded reply frame. The single dispatch point
-/// every serve loop shares — the in-process channel workers ([`serve`])
-/// and the byte-stream transports
-/// ([`crate::engine::exchange::stream::serve_stream`], which the
-/// `sim-shard-worker` binary runs over its TCP connection).
+/// a `Stop`, otherwise the encoded reply frame. The byte-stream dispatch
+/// point ([`crate::engine::exchange::stream::serve_stream`], which the
+/// `sim-shard-worker` binary runs over its TCP connection), and the one
+/// place mail changes form: inbound [`Bundle::Wire`] frames are decoded to
+/// typed mail before [`ShardState::handle`] (registering fresh news content
+/// in the shard's item store, like a real receiver), and the reply's typed
+/// outbound mail is wire-encoded after it (resolving news content from
+/// that store).
 pub fn handle_frame(state: &mut ShardState, frame: &[u8]) -> Option<Vec<u8>> {
-    let cmd = exchange::decode_command(frame);
-    if matches!(cmd, Command::Stop) {
-        return None;
+    let mut cmd = exchange::decode_command(frame);
+    match &mut cmd {
+        Command::Stop => return None,
+        Command::DeliverGossip { bundles, .. } | Command::DeliverNews { bundles, .. } => {
+            for bundle in bundles.iter_mut() {
+                decode_wire_bundle(bundle, &mut |item| {
+                    state.known_items.insert(item.id(), item);
+                });
+            }
+        }
+        _ => {}
     }
-    Some(exchange::encode_reply(&state.handle(cmd)))
+    let mut reply = state.handle(cmd);
+    if let Some(out) = reply.outbound_mut() {
+        for bundle in &mut out.bundles {
+            encode_mail_bundle(bundle, state.index as u32, &state.known_items);
+        }
+    }
+    Some(exchange::encode_reply(&reply))
+}
+
+/// Replaces a non-empty [`Bundle::Wire`] with the typed mail it carries
+/// (an empty one becomes empty mail). Each inner frame is decoded as a
+/// borrowed view over the frame and converted straight into its payload;
+/// each *distinct* news content is passed to `register` once per
+/// repetition run, and consecutive entries with identical content or
+/// profile bytes decode through a [`codec::NewsDecodeCache`], which turns a
+/// fan-out's repeated copies into `Arc` clones of one parse.
+///
+/// # Panics
+/// Panics on malformed frames: bundles only travel the engine's own
+/// transports, so corruption is an engine bug.
+fn decode_wire_bundle(bundle: &mut Bundle, register: &mut impl FnMut(NewsItem)) {
+    let Bundle::Wire(frame) = bundle else {
+        return;
+    };
+    let mut mail = Vec::new();
+    if !frame.is_empty() {
+        let view = codec::bundle_view(frame).expect("malformed shard bundle");
+        let mut cache = codec::NewsDecodeCache::default();
+        for entry in view {
+            let (to, inner) = entry.expect("malformed shard bundle entry");
+            let (from, payload, fresh_item) =
+                codec::decode_bundle_entry(inner, &mut cache).expect("malformed bundled message");
+            if let Some(item) = fresh_item {
+                register(item);
+            }
+            mail.push((to, from, payload));
+        }
+    }
+    *bundle = Bundle::Mail(mail);
+}
+
+/// Replaces non-empty [`Bundle::Mail`] from shard `from_shard` with its
+/// wire frame. News travels as content on the wire (receivers recompute
+/// ids), resolved through `items`.
+fn encode_mail_bundle(
+    bundle: &mut Bundle,
+    from_shard: u32,
+    // lint:allow(det-map) probed by id only
+    items: &HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
+) {
+    if let Bundle::Mail(mail) = bundle {
+        if !mail.is_empty() {
+            let frame = codec::encode_bundle(from_shard, mail, |id| items.get(&id).cloned());
+            *bundle = Bundle::Wire(frame);
+        }
+    }
 }
 
 /// The channel-worker serve loop: pull [`Command`] *values*, dispatch
 /// through [`ShardState::handle`], push [`Reply`] values — until a `Stop`
 /// command or the input closes.
 ///
-/// Unlike the byte-stream loop ([`handle_frame`] via
-/// [`crate::engine::exchange::stream::serve_stream`]), no command/reply
-/// codec runs here: in-process workers share the driver's address space,
-/// so bundle `Bytes` inside commands and replies move as refcounted
-/// clones instead of being re-encoded into per-shard frame copies. The
-/// bundles themselves stay wire-encoded (shards produce and consume them
-/// through the same codec on every transport), so byte-level parity with
-/// the process and socket transports is untouched.
+/// No codec runs here: in-process workers share the driver's address
+/// space, so cross-shard mail arrives and leaves as typed
+/// [`Bundle::Mail`] values with its profile `Arc`s intact. Byte-stream
+/// workers reach the same [`ShardState::handle`] through
+/// [`handle_frame`], which converts at the boundary, so both transports
+/// execute identical shard code on identical mail.
 pub fn serve(
     state: &mut ShardState,
     mut next: impl FnMut() -> Option<Command>,
@@ -844,5 +896,218 @@ pub fn serve(
             return;
         }
         send(state.handle(cmd));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Protocol, SimConfig};
+    use crate::scenario::Scenario;
+    use whatsup_core::{NewsMessage, SharedProfile};
+    use whatsup_datasets::{survey, SurveyConfig};
+
+    #[test]
+    fn bundle_roundtrip_restores_mail_and_registers_items() {
+        let item = NewsItem::new("t", "d", "l", 4, 2);
+        let mut items = HashMap::default(); // lint:allow(det-map) probed by id only
+        items.insert(item.id(), item.clone());
+        let mail = vec![
+            (
+                7u32,
+                4u32,
+                Payload::News(NewsMessage {
+                    header: item.header(),
+                    profile: SharedProfile::new(Profile::new()),
+                    dislikes: 0,
+                    hops: 1,
+                }),
+            ),
+            (8u32, 5u32, Payload::WupRequest(vec![])),
+        ];
+        let mut bundle = Bundle::Mail(mail.clone());
+        encode_mail_bundle(&mut bundle, 0, &items);
+        assert!(matches!(bundle, Bundle::Wire(_)), "non-empty mail encodes");
+        let mut registered = Vec::new();
+        decode_wire_bundle(&mut bundle, &mut |i| registered.push(i));
+        assert_eq!(bundle, Bundle::Mail(mail));
+        assert_eq!(registered, vec![item]);
+
+        let mut empty = Bundle::Wire(Bytes::new());
+        decode_wire_bundle(&mut empty, &mut |_| panic!("nothing to register"));
+        assert_eq!(empty, Bundle::Mail(Vec::new()));
+        encode_mail_bundle(&mut empty, 0, &items);
+        assert_eq!(empty, Bundle::Mail(Vec::new()), "empty mail stays typed");
+    }
+
+    /// Runs `cmd` through the byte-stream boundary: command codec,
+    /// [`handle_frame`], reply codec.
+    fn via_frames(state: &mut ShardState, cmd: &Command) -> Reply {
+        let frame = handle_frame(state, &exchange::encode_command(cmd)).expect("not a Stop");
+        exchange::decode_reply(&frame)
+    }
+
+    /// `bundles` with every wire frame decoded to typed mail.
+    fn decoded(mut bundles: Vec<Bundle>) -> Vec<Bundle> {
+        for b in &mut bundles {
+            decode_wire_bundle(b, &mut |_| {});
+        }
+        bundles
+    }
+
+    /// The reply with its outbound wire bundles decoded (typed replies
+    /// pass through unchanged).
+    fn typed_reply(mut reply: Reply) -> Reply {
+        if let Some(out) = reply.outbound_mut() {
+            out.bundles = decoded(std::mem::take(&mut out.bundles));
+        }
+        reply
+    }
+
+    fn outbound(reply: &mut Reply) -> Outbound {
+        std::mem::take(reply.outbound_mut().expect("a phase reply"))
+    }
+
+    /// The same shards twice: one set driven with typed mail through
+    /// [`ShardState::handle`] (the in-process path), one through the frame
+    /// codec and [`handle_frame`] with wire mail (the byte-stream path).
+    struct Twin {
+        typed: Vec<ShardState>,
+        wire: Vec<ShardState>,
+    }
+
+    impl Twin {
+        /// Sends one command to shard `s` on both paths — `typed_cmd`
+        /// through [`ShardState::handle`], `wire_cmd` through
+        /// [`via_frames`] — asserting that they deliver equal mail and
+        /// return equal replies. Returns both replies.
+        fn step(&mut self, s: usize, typed_cmd: Command, wire_cmd: Command) -> (Reply, Reply) {
+            if let (
+                Command::DeliverGossip { bundles: t, .. } | Command::DeliverNews { bundles: t, .. },
+                Command::DeliverGossip { bundles: w, .. } | Command::DeliverNews { bundles: w, .. },
+            ) = (&typed_cmd, &wire_cmd)
+            {
+                assert_eq!(&decoded(w.clone()), t, "delivered payloads diverged");
+            }
+            let t = self.typed[s].handle(typed_cmd);
+            let w = via_frames(&mut self.wire[s], &wire_cmd);
+            assert_eq!(typed_reply(w.clone()), t, "replies diverged");
+            (t, w)
+        }
+
+        /// Routes `outs` to every destination until a round sends nothing.
+        fn deliver_until_quiet(
+            &mut self,
+            mut t_outs: Vec<Outbound>,
+            mut w_outs: Vec<Outbound>,
+            deliver: impl Fn(Vec<Bundle>) -> Command,
+        ) -> usize {
+            let shards = self.typed.len();
+            let mut rounds = 0;
+            while t_outs.iter().map(|o| o.sent).sum::<u64>() > 0 {
+                let mut t_next = Vec::new();
+                let mut w_next = Vec::new();
+                for dest in 0..shards {
+                    let take = |outs: &mut Vec<Outbound>| -> Vec<Bundle> {
+                        outs.iter_mut()
+                            .map(|o| std::mem::take(&mut o.bundles[dest]))
+                            .collect()
+                    };
+                    let (mut t, mut w) =
+                        self.step(dest, deliver(take(&mut t_outs)), deliver(take(&mut w_outs)));
+                    t_next.push(outbound(&mut t));
+                    w_next.push(outbound(&mut w));
+                }
+                t_outs = t_next;
+                w_outs = w_next;
+                rounds += 1;
+            }
+            rounds
+        }
+    }
+
+    #[test]
+    fn byte_stream_boundary_matches_typed_mail() {
+        let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 42);
+        let cfg = SimConfig {
+            cycles: 20,
+            publish_from: 2,
+            measure_from: 8,
+            shards: 2,
+            ..Default::default()
+        };
+        let scenario = Scenario::from_config(&cfg);
+        let protocol = Protocol::WhatsUp { f_like: 5 };
+        let (core, inits) = crate::engine::driver::build(&d, protocol, cfg, scenario, None);
+        let partition = inits[0].partition.clone();
+        let mut twin = Twin {
+            typed: inits.iter().cloned().map(ShardState::from_init).collect(),
+            wire: inits.into_iter().map(ShardState::from_init).collect(),
+        };
+        let shards = twin.typed.len();
+        assert_eq!(shards, 2);
+        let mut cross_shard_news = 0;
+        for cycle in 0..2u32 {
+            // One gossip phase: collect, then requests and responses.
+            let (mut t_outs, mut w_outs) = (Vec::new(), Vec::new());
+            for s in 0..shards {
+                let collect = Command::Collect { cycle };
+                let (mut t, mut w) = twin.step(s, collect.clone(), collect);
+                t_outs.push(outbound(&mut t));
+                w_outs.push(outbound(&mut w));
+            }
+            assert!(t_outs
+                .iter()
+                .any(|o| o.bundles.iter().any(|b| !b.is_empty())));
+            let rounds = twin.deliver_until_quiet(t_outs, w_outs, |bundles| {
+                Command::DeliverGossip { cycle, bundles }
+            });
+            assert_eq!(rounds, 2, "gossip is requests then responses");
+
+            // One news epidemic, published from its source's shard.
+            for s in 0..shards {
+                twin.step(s, Command::BeginNews, Command::BeginNews);
+            }
+            let index = cycle as usize;
+            let item = core.items[index].clone();
+            let owner = partition.shard_of(core.sources[index]);
+            let publish = Command::Publish {
+                cycle,
+                item: item.clone(),
+            };
+            let (mut t, mut w) = twin.step(owner, publish.clone(), publish);
+            let mut t_outs: Vec<Outbound> = (0..shards).map(|_| Outbound::empty(shards)).collect();
+            let mut w_outs = t_outs.clone();
+            t_outs[owner] = outbound(&mut t);
+            w_outs[owner] = outbound(&mut w);
+            twin.deliver_until_quiet(t_outs, w_outs, |bundles| Command::DeliverNews {
+                cycle,
+                item: item.id(),
+                bundles,
+            });
+
+            // News content reached the other shard only as wire content,
+            // and what the boundary registered is the published item.
+            let other = 1 - owner;
+            match twin.wire[other].known_items.get(&item.id()) {
+                Some(registered) => {
+                    assert_eq!(registered, &item, "registered news content diverged");
+                    cross_shard_news += 1;
+                }
+                None => assert!(
+                    twin.typed[other]
+                        .nodes()
+                        .iter()
+                        .all(|n| !n.has_seen(item.id())),
+                    "a shard received news without registering its content"
+                ),
+            }
+            for (t, w) in twin.typed.iter().zip(&twin.wire) {
+                for (tn, wn) in t.nodes().iter().zip(w.nodes()) {
+                    assert_eq!(tn.export_state(), wn.export_state(), "node state diverged");
+                }
+            }
+        }
+        assert!(cross_shard_news > 0, "no news crossed shards");
     }
 }
