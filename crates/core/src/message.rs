@@ -19,7 +19,7 @@ pub struct NewsMessage {
     /// The aggregated item profile, shared copy-on-write: fanning one
     /// reception out to `fLIKE` targets clones the `Arc`, not the entries;
     /// the next hop that actually aggregates copies once via
-    /// [`Profile::aggregated_with`].
+    /// [`Profile::aggregated_with`](crate::Profile::aggregated_with).
     pub profile: SharedProfile,
     /// Dislike counter `dI`.
     pub dislikes: u8,

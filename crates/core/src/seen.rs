@@ -6,7 +6,7 @@
 //! set (~48 B/entry with `std`'s table overhead). [`SeenSet`] stores the
 //! same ids as a sorted run plus a small unsorted recent window: 8 B per
 //! id amortized, probes are a binary search over the run plus a linear
-//! scan of at most [`RECENT_CAP`] recent ids, and the recent window is
+//! scan of at most `RECENT_CAP` recent ids, and the recent window is
 //! merged into the run when it fills.
 //!
 //! The set is **exact** — never probabilistic. `insert`/`contains` answer
@@ -28,7 +28,7 @@ pub struct SeenSet {
     /// Ascending, deduplicated.
     sorted: Vec<ItemId>,
     /// Insertion order, deduplicated against `sorted` and itself; merged
-    /// into `sorted` when it reaches [`RECENT_CAP`].
+    /// into `sorted` when it reaches `RECENT_CAP`.
     recent: Vec<ItemId>,
 }
 
@@ -88,7 +88,7 @@ impl SeenSet {
     }
 
     /// Releases the sorted run's capacity slack left by merges. The recent
-    /// window is already bounded by [`RECENT_CAP`] and is left alone.
+    /// window is already bounded by `RECENT_CAP` and is left alone.
     /// Answers are unaffected — memory hygiene only.
     pub fn trim_capacity(&mut self) {
         self.sorted.shrink_to_fit();

@@ -40,14 +40,20 @@ pub struct View<P> {
 }
 
 impl<P: Clone> View<P> {
-    /// An empty view bounded by `capacity` entries.
+    /// An empty view bounded by `capacity` entries. Storage for up to
+    /// [`View::PREALLOC`] entries is reserved up front; a larger bound grows
+    /// with the entries actually held, so a huge configured bound (say,
+    /// from a corrupted shard handshake) reserves nothing it never fills.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a view must hold at least one entry");
         Self {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity.min(Self::PREALLOC)),
         }
     }
+
+    /// Most entries [`View::new`] reserves before any arrive.
+    pub const PREALLOC: usize = 256;
 
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -115,8 +115,10 @@ impl Config {
     ///   (`crates/sim/src/engine/exchange/socket.rs`), the benchmark crate
     ///   (wall clocks are its purpose) and the dependency shims.
     /// * `wire-panic` / `wire-cast` — the untrusted-input decode surface:
-    ///   `crates/net/src/codec.rs` and the anti-entropy digest/delta frame
-    ///   readers.
+    ///   `crates/net/src/codec.rs`, the shard protocol's frame layouts and
+    ///   byte-stream boundary (`crates/sim/src/engine/exchange/frames.rs`,
+    ///   `stream.rs` — what a listening worker reads from any TCP peer), and
+    ///   the anti-entropy digest/delta frame readers.
     /// * `safety-comment` — everywhere except the shims (which mirror
     ///   upstream crates' APIs verbatim).
     pub fn workspace_default() -> Self {
@@ -149,6 +151,8 @@ impl Config {
         let wire = Scope {
             include: vec![
                 "crates/net/src/codec.rs".into(),
+                "crates/sim/src/engine/exchange/frames.rs".into(),
+                "crates/sim/src/engine/exchange/stream.rs".into(),
                 "crates/sim/src/engines/antientropy/digest.rs".into(),
                 "crates/sim/src/engines/antientropy/delta.rs".into(),
             ],

@@ -143,11 +143,24 @@ fn workspace_scopes_gate_rules_by_path() {
     );
     // Wire rules likewise apply only on the decode surface.
     let panicky = fixture("wire_panic.rs");
-    assert!(!check_file("crates/net/src/codec.rs", &panicky, &config).is_empty());
-    assert_eq!(
-        check_file("crates/net/src/peer.rs", &panicky, &config),
-        vec![]
-    );
+    for decode_surface in [
+        "crates/net/src/codec.rs",
+        "crates/sim/src/engine/exchange/frames.rs",
+        "crates/sim/src/engine/exchange/stream.rs",
+    ] {
+        assert!(!check_file(decode_surface, &panicky, &config).is_empty());
+    }
+    for elsewhere in [
+        "crates/net/src/peer.rs",
+        "crates/sim/src/engine/exchange/socket.rs",
+    ] {
+        let hits: Vec<Rule> = check_file(elsewhere, &panicky, &config)
+            .into_iter()
+            .map(|f| f.rule)
+            .filter(|r| matches!(r, Rule::WirePanic | Rule::WireCast))
+            .collect();
+        assert_eq!(hits, vec![], "{elsewhere}");
+    }
 }
 
 /// The committed tree is lint-clean under the workspace contract: zero

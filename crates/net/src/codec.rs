@@ -16,28 +16,23 @@
 //! ```
 //!
 //! The news item's 8-byte id is deliberately absent from the wire: receivers
-//! recompute it from the content (paper §II-A), and [`decode`] does exactly
-//! that when rebuilding the in-memory [`NewsMessage`].
+//! recompute it from the content (paper §II-A).
 //!
 //! Mailbox bundles are the simulator's shard-exchange unit: a batch of
-//! addressed single-message frames, concatenated in `(sender, emission
-//! order)` order by the emitting shard. Bundles travel over in-process
-//! channels and the shard-exchange TCP sockets — not UDP — so
-//! [`MAX_FRAME`] applies to single-message frames only, and bundles never
-//! nest.
+//! addressed single-message frames in `(sender, emission order)` order.
+//! They travel the shard-exchange TCP sockets, not UDP, so [`MAX_FRAME`]
+//! applies to single-message frames only; bundles never nest and open only
+//! through [`bundle_view`]. The sharded engine's socket transport
+//! (`sim-shard-worker --listen`) moves these very encodings inside its own
+//! frames, so anything the simulator exchanges across machines is
+//! expressible on the deployment stack's network encoding (see the
+//! `whatsup_sim::engine` module docs, "distributed topology").
 //!
-//! This codec is also the `whatsup-sim` distributed wire format: the
-//! sharded engine's socket transport (`sim-shard-worker --listen`, one
-//! shard per remote machine) moves these very bundle encodings inside its
-//! length-prefixed command frames, so anything the simulator exchanges
-//! across machines is by construction expressible on the deployment
-//! stack's network encoding. The engine's per-cycle measurement counters
-//! are folded driver-side from the phase replies, so no engine-internal
-//! counter frame rides on top of this codec. See the
-//! `whatsup_sim::engine` module docs, "distributed topology" and
-//! "measurement pipeline".
+//! Every decoder here, and every shard-protocol decoder built on this
+//! codec, reads through [`Reader`], so untrusted bytes surface typed
+//! [`DecodeError`]s, never panics.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use whatsup_core::message::wire;
 use whatsup_core::{
     Descriptor, ItemHeader, NewsItem, NewsMessage, NodeId, Payload, Profile, ProfileEntry,
@@ -49,16 +44,14 @@ use whatsup_core::{
 /// stream-like transports.
 pub const MAX_FRAME: usize = 60 * 1024;
 
-/// One addressed message inside a mailbox bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BundleEntry {
-    /// Destination node.
-    pub to: NodeId,
-    /// Sending node (the inner frame's `from`).
-    pub from: NodeId,
-    /// The message itself (never a nested bundle).
-    pub message: WireMessage,
-}
+/// Wire bytes of one profile entry (`item:u64 timestamp:u32 score:f32`).
+const PROFILE_ENTRY_BYTES: usize = 16;
+
+/// Smallest wire descriptor: `node:u32 age:u32` and an empty profile.
+const DESCRIPTOR_MIN_BYTES: usize = 10;
+
+/// Smallest bundle entry: `to:u32 len:u32` and a tag-and-sender header.
+const BUNDLE_ENTRY_MIN_BYTES: usize = 13;
 
 /// A decoded frame: the sender and what it sent. News carries the full item
 /// content; the protocol-level [`Payload`] is derived via
@@ -75,21 +68,12 @@ pub enum WireMessage {
         dislikes: u8,
         hops: u16,
     },
-    /// A shard-exchange mailbox bundle; the frame-level `from` is the
-    /// emitting shard's index, not a node id.
-    Bundle(Vec<BundleEntry>),
 }
 
 impl WireMessage {
-    /// Converts to the sans-io node's payload. News ids are recomputed from
-    /// content here — the wire never carried them.
-    ///
-    /// Fallible because a [`WireMessage`] can be built by hand with a
-    /// gossip kind [`decode`] would never produce, and because a
-    /// [`WireMessage::Bundle`] is a transport batch, not a protocol
-    /// payload — unpack the entries instead. Both cases surface typed
-    /// errors so no frame handler on an untrusted input path has a panic
-    /// to reach.
+    /// Converts to the sans-io node's payload, recomputing news ids from
+    /// content. Fallible because a hand-built [`WireMessage`] can carry a
+    /// gossip kind [`decode`] never produces.
     pub fn try_into_payload(self) -> Result<Payload, DecodeError> {
         match self {
             WireMessage::Gossip { kind, descriptors } => match kind {
@@ -104,19 +88,12 @@ impl WireMessage {
                 profile,
                 dislikes,
                 hops,
-            } => {
-                let header = ItemHeader {
-                    id: item.id(),
-                    created_at: item.created_at,
-                };
-                Ok(Payload::News(NewsMessage {
-                    header,
-                    profile,
-                    dislikes,
-                    hops,
-                }))
-            }
-            WireMessage::Bundle(_) => Err(DecodeError::BundlePayload),
+            } => Ok(Payload::News(NewsMessage {
+                header: item.header(),
+                profile,
+                dislikes,
+                hops,
+            })),
         }
     }
 }
@@ -140,12 +117,16 @@ impl std::error::Error for FrameTooLarge {}
 /// Decoding error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
+    /// The frame ends before a field it announces (a short frame, or a
+    /// count or length larger than the bytes that follow).
     Truncated,
     BadTag(u8),
     BadUtf8,
-    /// A mailbox bundle where a protocol payload was required: bundles are
-    /// transport batches and never convert to a [`Payload`].
-    BundlePayload,
+    /// Bytes left over after a complete frame.
+    Trailing(usize),
+    /// A well-delimited field whose value breaks an invariant of what it
+    /// decodes to; the text names the invariant.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -154,14 +135,156 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "frame truncated"),
             DecodeError::BadTag(t) => write!(f, "unknown frame tag {t}"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            DecodeError::BundlePayload => {
-                write!(f, "mailbox bundle is not a protocol payload")
-            }
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the frame"),
+            DecodeError::Invalid(what) => write!(f, "invalid field: {what}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+// ---------------------------------------------------------------------------
+// The fallible reader
+// ---------------------------------------------------------------------------
+
+/// A little-endian cursor over untrusted bytes — the one way every decoder
+/// in the workspace reads a frame (this codec, and the simulator's shard
+/// protocol and checkpoints). Every read checks that its bytes are there
+/// and returns [`DecodeError::Truncated`] instead of panicking, and
+/// [`Reader::count`] rejects an element count that the remaining bytes
+/// cannot back *before* the caller allocates for it, so a forged count can
+/// never reserve memory the frame does not carry.
+#[derive(Debug, Clone, Copy)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf }
+    }
+
+    /// Errors unless every byte was read: frames carry explicit counts and
+    /// lengths, so leftover bytes mean a corrupt frame.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(DecodeError::Trailing(n)),
+        }
+    }
+
+    /// The next `len` bytes, borrowed from the frame.
+    pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, tail) = self
+            .buf
+            .split_at_checked(len)
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, tail) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = tail;
+        Ok(*head)
+    }
+
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub fn f32(&mut self) -> Result<f32, DecodeError> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// A flag byte: 0 or 1.
+    pub fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Invalid("flag byte is neither 0 nor 1")),
+        }
+    }
+
+    /// A `len:u16`-prefixed UTF-8 string (the inverse of [`put_str`]).
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = usize::from(self.u16()?);
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// A `len:u32`-prefixed byte string (the inverse of [`put_bytes`]).
+    pub fn len_prefixed(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.u32()? as usize;
+        self.bytes(len)
+    }
+
+    /// A `count:u32` of elements, each at least `min_elem_bytes` wide on
+    /// the wire; rejected as truncated when the remaining bytes cannot
+    /// hold that many.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        self.fits(n, min_elem_bytes)
+    }
+
+    /// [`Reader::count`] for a `count:u16` field.
+    pub fn count_u16(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        let n = usize::from(self.u16()?);
+        self.fits(n, min_elem_bytes)
+    }
+
+    /// A `count:u32`-prefixed list, each element read by `read` and at
+    /// least `min_elem_bytes` wide (see [`Reader::count`]).
+    pub fn list<T>(
+        &mut self,
+        min_elem_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.count(min_elem_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    fn fits(&self, n: usize, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        match n.checked_mul(min_elem_bytes) {
+            Some(bytes) if bytes <= self.buf.len() => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
+    /// The bytes read since `mark`, an earlier copy of this reader.
+    pub fn since(&self, mark: Reader<'a>) -> &'a [u8] {
+        let read = mark.buf.len().saturating_sub(self.buf.len());
+        mark.buf
+            .split_at_checked(read)
+            .map_or(&[], |(head, _)| head)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------------
 
 /// Encodes a payload from `from`. News payloads need the full item content
 /// (the header alone is not enough to reconstruct the wire form), so the
@@ -202,11 +325,7 @@ pub fn encode_into(
                 resolve(msg.header.id).expect("news content must be resolvable for encoding"); // lint:allow(wire-panic) encode path: the emitting node holds the content it forwards
             buf.put_u8(wire::NEWS);
             buf.put_u32_le(from);
-            buf.put_u32_le(item.source);
-            buf.put_u32_le(item.created_at);
-            put_str(buf, &item.title);
-            put_str(buf, &item.description);
-            put_str(buf, &item.link);
+            put_news_item(buf, &item);
             buf.put_u8(msg.dislikes);
             buf.put_u16_le(msg.hops);
             put_profile(buf, &msg.profile);
@@ -218,28 +337,15 @@ pub fn encode_into(
 /// payload)` triple as an embedded single-message frame, in the given
 /// order. No [`MAX_FRAME`] cap — bundles travel channels/sockets, and each
 /// embedded message stays individually datagram-sized by construction of
-/// the protocol.
+/// the protocol. Each inner message is encoded in place after a 4-byte
+/// length placeholder patched once its size is known: one pass, no
+/// staging buffer.
 pub fn encode_bundle(
     from_shard: u32,
     entries: &[(NodeId, NodeId, Payload)],
     resolve: impl Fn(u64) -> Option<NewsItem>,
 ) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + entries.len() * 128);
-    encode_bundle_into(&mut buf, from_shard, entries, resolve);
-    buf.freeze()
-}
-
-/// Appends a mailbox bundle to `buf` (same frame as [`encode_bundle`]).
-/// Each inner message is encoded directly into `buf` after a 4-byte length
-/// placeholder that is patched once the message's true size is known — one
-/// pass, no staging buffer, no second copy. Callers that reuse `buf` across
-/// rounds amortize the allocation to zero in steady state.
-pub fn encode_bundle_into(
-    buf: &mut BytesMut,
-    from_shard: u32,
-    entries: &[(NodeId, NodeId, Payload)],
-    resolve: impl Fn(u64) -> Option<NewsItem>,
-) {
     buf.put_u8(wire::MAILBOX_BUNDLE);
     buf.put_u32_le(from_shard);
     buf.put_u32_le(wire_count_u32(entries.len(), "bundle entry count"));
@@ -247,11 +353,12 @@ pub fn encode_bundle_into(
         buf.put_u32_le(*to);
         let at = buf.len();
         buf.put_u32_le(0); // length placeholder
-        encode_into(buf, *from, payload, &resolve);
+        encode_into(&mut buf, *from, payload, &resolve);
         let len = wire_count_u32(buf.len() - at - 4, "bundle inner frame length");
         // lint:allow(wire-panic) encode path: patching the 4-byte placeholder written just above
         buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
+    buf.freeze()
 }
 
 /// Narrows an encode-side length/count to its wire field width, loudly.
@@ -260,96 +367,39 @@ pub fn encode_bundle_into(
 /// *silent* `as` truncation would corrupt the frame for every later field,
 /// so the narrowing is checked and panics with the field name instead.
 /// Decode paths never use these: untrusted input gets typed errors.
-fn wire_count_u32(n: usize, what: &str) -> u32 {
+pub fn wire_count_u32(n: usize, what: &str) -> u32 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32 wire bound"))
 }
 
 /// As [`wire_count_u32`], for `u16` wire fields.
-fn wire_count_u16(n: usize, what: &str) -> u16 {
+pub fn wire_count_u16(n: usize, what: &str) -> u16 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u16::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u16 wire bound"))
 }
 
-/// A borrowed view over an encoded mailbox bundle: iterates `(to, inner
-/// frame)` pairs straight out of the frame buffer without materializing a
-/// `Vec<BundleEntry>`. Each inner frame slice decodes with [`decode`] (which
-/// rejects nested bundles); consumers that only route by destination never
-/// pay for decoding the message bodies at all.
-#[derive(Debug, Clone)]
-pub struct BundleView<'a> {
-    from_shard: u32,
-    remaining_entries: u32,
-    rest: &'a [u8],
+/// Writes a `len:u16`-prefixed UTF-8 string ([`Reader::str`] reads it).
+pub fn put_str(buf: &mut BytesMut, s: &str) {
+    buf.put_u16_le(wire_count_u16(s.len(), "string field length"));
+    buf.put_slice(s.as_bytes());
 }
 
-/// Opens a borrowed iterator over a bundle frame. Errors if the frame is
-/// not a bundle header; per-entry truncation surfaces lazily from the
-/// iterator.
-pub fn bundle_view(frame: &[u8]) -> Result<BundleView<'_>, DecodeError> {
-    let mut buf = frame;
-    if buf.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::MAILBOX_BUNDLE {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from_shard = buf.get_u32_le();
-    let remaining_entries = buf.get_u32_le();
-    Ok(BundleView {
-        from_shard,
-        remaining_entries,
-        rest: buf,
-    })
+/// Writes a `len:u32`-prefixed byte string ([`Reader::len_prefixed`] reads
+/// it).
+pub fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+    buf.put_u32_le(wire_count_u32(b.len(), "byte field length"));
+    buf.put_slice(b);
 }
 
-impl<'a> BundleView<'a> {
-    /// The emitting shard's index (the frame-level `from`).
-    pub fn from_shard(&self) -> u32 {
-        self.from_shard
-    }
-
-    /// Entries not yet yielded.
-    pub fn len(&self) -> usize {
-        self.remaining_entries as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.remaining_entries == 0
-    }
-}
-
-impl<'a> Iterator for BundleView<'a> {
-    /// `(destination node, borrowed inner single-message frame)`.
-    type Item = Result<(NodeId, &'a [u8]), DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining_entries == 0 {
-            return None;
-        }
-        self.remaining_entries -= 1;
-        if self.rest.remaining() < 8 {
-            self.remaining_entries = 0;
-            return Some(Err(DecodeError::Truncated));
-        }
-        let to = self.rest.get_u32_le();
-        let len = self.rest.get_u32_le() as usize;
-        if self.rest.remaining() < len {
-            self.remaining_entries = 0;
-            return Some(Err(DecodeError::Truncated));
-        }
-        // lint:allow(wire-panic) bounds checked: remaining >= len two lines above
-        let inner = &self.rest[..len];
-        self.rest.advance(len);
-        // Nested bundles are forbidden on the wire; reject before a caller
-        // recurses into `decode`.
-        if inner.first() == Some(&wire::MAILBOX_BUNDLE) {
-            self.remaining_entries = 0;
-            return Some(Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE)));
-        }
-        Some(Ok((to, inner)))
-    }
+/// Writes a news item's content — `source:u32 created:u32 title:str
+/// desc:str link:str` — the form news travels in on every wire (the id is
+/// recomputed from it).
+pub fn put_news_item(buf: &mut BytesMut, item: &NewsItem) {
+    buf.put_u32_le(item.source);
+    buf.put_u32_le(item.created_at);
+    put_str(buf, &item.title);
+    put_str(buf, &item.description);
+    put_str(buf, &item.link);
 }
 
 /// Serializes a descriptor list (`count:u16 descriptor*`). Exposed so the
@@ -362,25 +412,6 @@ pub fn put_descriptors(buf: &mut BytesMut, descs: &[Descriptor<SharedProfile>]) 
         buf.put_u32_le(d.age);
         put_profile(buf, &d.payload);
     }
-}
-
-/// Inverse of [`put_descriptors`].
-pub fn get_descriptors(buf: &mut &[u8]) -> Result<Vec<Descriptor<SharedProfile>>, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let count = buf.get_u16_le() as usize;
-    let mut descriptors = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let node = buf.get_u32_le();
-        let age = buf.get_u32_le();
-        let payload = SharedProfile::new(get_profile(buf)?);
-        descriptors.push(Descriptor { node, age, payload });
-    }
-    Ok(descriptors)
 }
 
 /// Serializes one profile (`len:u16 (item:u64 timestamp:u32 score:f32)*`).
@@ -396,93 +427,96 @@ pub fn put_profile(buf: &mut BytesMut, p: &Profile) {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(wire_count_u16(s.len(), "string field length"));
-    buf.put_slice(s.as_bytes());
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+/// Decodes one single-message frame into `(sender, message)`. Mailbox
+/// bundles are not messages: their tag is rejected here
+/// ([`DecodeError::BadTag`]); open them with [`bundle_view`].
+pub fn decode(frame: &[u8]) -> Result<(NodeId, WireMessage), DecodeError> {
+    let mut r = Reader::new(frame);
+    let tag = r.u8()?;
+    let from = r.u32()?;
+    let message = match tag {
+        wire::RPS_REQUEST | wire::RPS_RESPONSE | wire::WUP_REQUEST | wire::WUP_RESPONSE => {
+            WireMessage::Gossip {
+                kind: tag,
+                descriptors: get_descriptors(&mut r)?,
+            }
+        }
+        wire::NEWS => WireMessage::News {
+            item: get_news_item(&mut r)?,
+            dislikes: r.u8()?,
+            hops: r.u16()?,
+            profile: SharedProfile::new(get_profile(&mut r)?),
+        },
+        other => return Err(DecodeError::BadTag(other)),
+    };
+    Ok((from, message))
 }
 
-/// Decodes one frame into `(sender, message)`. For bundle frames the
-/// "sender" is the emitting shard's index.
-pub fn decode(mut buf: &[u8]) -> Result<(NodeId, WireMessage), DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
+/// A borrowed view over an encoded mailbox bundle: iterates `(to, inner
+/// frame)` pairs straight out of the frame buffer. Each inner frame decodes
+/// with [`decode_bundle_entry`] (nested bundles are rejected); consumers
+/// that only route by destination never pay for decoding the message
+/// bodies at all.
+#[derive(Debug, Clone)]
+pub struct BundleView<'a> {
+    from_shard: u32,
+    remaining_entries: usize,
+    rest: Reader<'a>,
+}
+
+/// Opens a borrowed iterator over a bundle frame. Errors if the frame is
+/// not a bundle header or announces more entries than it can hold;
+/// per-entry truncation surfaces lazily from the iterator.
+pub fn bundle_view(frame: &[u8]) -> Result<BundleView<'_>, DecodeError> {
+    let mut rest = Reader::new(frame);
+    let tag = rest.u8()?;
+    if tag != wire::MAILBOX_BUNDLE {
+        return Err(DecodeError::BadTag(tag));
     }
-    let tag = buf.get_u8();
-    let from = buf.get_u32_le();
-    match tag {
-        wire::RPS_REQUEST | wire::RPS_RESPONSE | wire::WUP_REQUEST | wire::WUP_RESPONSE => {
-            let descriptors = get_descriptors(&mut buf)?;
-            Ok((
-                from,
-                WireMessage::Gossip {
-                    kind: tag,
-                    descriptors,
-                },
-            ))
+    let from_shard = rest.u32()?;
+    let remaining_entries = rest.count(BUNDLE_ENTRY_MIN_BYTES)?;
+    Ok(BundleView {
+        from_shard,
+        remaining_entries,
+        rest,
+    })
+}
+
+impl<'a> BundleView<'a> {
+    /// The emitting shard's index (the frame-level `from`).
+    pub fn from_shard(&self) -> u32 {
+        self.from_shard
+    }
+
+    fn entry(&mut self) -> Result<(NodeId, &'a [u8]), DecodeError> {
+        let to = self.rest.u32()?;
+        let inner = self.rest.len_prefixed()?;
+        // Bundles never nest; reject before a caller decodes the entry.
+        match inner.first() {
+            Some(&wire::MAILBOX_BUNDLE) => Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE)),
+            _ => Ok((to, inner)),
         }
-        wire::MAILBOX_BUNDLE => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = buf.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                let to = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                // lint:allow(wire-panic) bounds checked: remaining >= len just above
-                let (inner_from, message) = decode(&buf[..len])?;
-                if matches!(message, WireMessage::Bundle(_)) {
-                    // Bundles never nest.
-                    return Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE));
-                }
-                buf.advance(len);
-                entries.push(BundleEntry {
-                    to,
-                    from: inner_from,
-                    message,
-                });
-            }
-            Ok((from, WireMessage::Bundle(entries)))
+    }
+}
+
+impl<'a> Iterator for BundleView<'a> {
+    /// `(destination node, borrowed inner single-message frame)`.
+    type Item = Result<(NodeId, &'a [u8]), DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining_entries == 0 {
+            return None;
         }
-        wire::NEWS => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let source = buf.get_u32_le();
-            let created_at = buf.get_u32_le();
-            let title = get_str(&mut buf)?;
-            let description = get_str(&mut buf)?;
-            let link = get_str(&mut buf)?;
-            if buf.remaining() < 3 {
-                return Err(DecodeError::Truncated);
-            }
-            let dislikes = buf.get_u8();
-            let hops = buf.get_u16_le();
-            let profile = SharedProfile::new(get_profile(&mut buf)?);
-            let item = NewsItem {
-                title,
-                description,
-                link,
-                source,
-                created_at,
-            };
-            Ok((
-                from,
-                WireMessage::News {
-                    item,
-                    profile,
-                    dislikes,
-                    hops,
-                },
-            ))
+        self.remaining_entries -= 1;
+        let entry = self.entry();
+        if entry.is_err() {
+            self.remaining_entries = 0;
         }
-        other => Err(DecodeError::BadTag(other)),
+        Some(entry)
     }
 }
 
@@ -510,149 +544,106 @@ pub struct NewsDecodeCache {
 /// and for cache hits — a hit means an entry with identical content bytes
 /// was already yielded through this cache.
 pub fn decode_bundle_entry(
-    mut buf: &[u8],
+    frame: &[u8],
     cache: &mut NewsDecodeCache,
 ) -> Result<(NodeId, Payload, Option<NewsItem>), DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
+    let mut r = Reader::new(frame);
+    if r.u8()? != wire::NEWS {
+        let (from, message) = decode(frame)?;
+        return Ok((from, message.try_into_payload()?, None));
     }
-    let tag = buf.get_u8();
-    let from = buf.get_u32_le();
-    match tag {
-        wire::RPS_REQUEST | wire::RPS_RESPONSE | wire::WUP_REQUEST | wire::WUP_RESPONSE => {
-            let d = get_descriptors(&mut buf)?;
-            let payload = match tag {
-                wire::RPS_REQUEST => Payload::RpsRequest(d),
-                wire::RPS_RESPONSE => Payload::RpsResponse(d),
-                wire::WUP_REQUEST => Payload::WupRequest(d),
-                _ => Payload::WupResponse(d),
-            };
-            Ok((from, payload, None))
-        }
-        wire::NEWS => {
-            // Delimit the content span (source, created_at, three
-            // length-prefixed strings) without parsing it yet.
-            let start = buf;
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            buf.advance(8);
-            for _ in 0..3 {
-                if buf.remaining() < 2 {
-                    return Err(DecodeError::Truncated);
-                }
-                let len = buf.get_u16_le() as usize;
-                if buf.remaining() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                buf.advance(len);
-            }
-            // lint:allow(wire-panic) in bounds: buf is a strict suffix of start after the advances above
-            let content = &start[..start.len() - buf.len()];
-            if buf.remaining() < 3 {
-                return Err(DecodeError::Truncated);
-            }
-            let dislikes = buf.get_u8();
-            let hops = buf.get_u16_le();
-            // Delimit the profile span (`len:u16` + 16 bytes per entry).
-            if buf.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            // lint:allow(wire-panic) bounds checked: remaining >= 2 just above
-            let n_entries = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-            let profile_len = 2 + n_entries * 16;
-            if buf.remaining() < profile_len {
-                return Err(DecodeError::Truncated);
-            }
-            // lint:allow(wire-panic) bounds checked: remaining >= profile_len just above
-            let profile_span = &buf[..profile_len];
+    let from = r.u32()?;
+    // Delimit the item content and profile spans; parse each only when it
+    // differs from the cached one.
+    let mark = r;
+    r.bytes(8)?;
+    for _ in 0..3 {
+        r.str()?;
+    }
+    let content = r.since(mark);
+    let dislikes = r.u8()?;
+    let hops = r.u16()?;
+    let mark = r;
+    let n_entries = r.count_u16(PROFILE_ENTRY_BYTES)?;
+    r.bytes(n_entries * PROFILE_ENTRY_BYTES)?;
+    let profile_bytes = r.since(mark);
 
-            let (header, fresh_item) = match cache.item_header {
-                Some(h) if cache.item_bytes == content => (h, None),
-                _ => {
-                    let mut cbuf = content;
-                    let source = cbuf.get_u32_le();
-                    let created_at = cbuf.get_u32_le();
-                    let title = get_str(&mut cbuf)?;
-                    let description = get_str(&mut cbuf)?;
-                    let link = get_str(&mut cbuf)?;
-                    let item = NewsItem {
-                        title,
-                        description,
-                        link,
-                        source,
-                        created_at,
-                    };
-                    let header = item.header();
-                    cache.item_bytes.clear();
-                    cache.item_bytes.extend_from_slice(content);
-                    cache.item_header = Some(header);
-                    (header, Some(item))
-                }
-            };
-            let profile = match &cache.profile {
-                Some(p) if cache.profile_bytes == profile_span => SharedProfile::clone(p),
-                _ => {
-                    let mut pbuf = profile_span;
-                    let p = SharedProfile::new(get_profile(&mut pbuf)?);
-                    cache.profile_bytes.clear();
-                    cache.profile_bytes.extend_from_slice(profile_span);
-                    cache.profile = Some(SharedProfile::clone(&p));
-                    p
-                }
-            };
-            Ok((
-                from,
-                Payload::News(NewsMessage {
-                    header,
-                    profile,
-                    dislikes,
-                    hops,
-                }),
-                fresh_item,
-            ))
+    let (header, fresh_item) = match cache.item_header {
+        Some(h) if cache.item_bytes == content => (h, None),
+        _ => {
+            let item = get_news_item(&mut Reader::new(content))?;
+            let header = item.header();
+            cache.item_bytes.clear();
+            cache.item_bytes.extend_from_slice(content);
+            cache.item_header = Some(header);
+            (header, Some(item))
         }
-        other => Err(DecodeError::BadTag(other)),
+    };
+    let profile = match &cache.profile {
+        Some(p) if cache.profile_bytes == profile_bytes => SharedProfile::clone(p),
+        _ => {
+            let p = SharedProfile::new(get_profile(&mut Reader::new(profile_bytes))?);
+            cache.profile_bytes.clear();
+            cache.profile_bytes.extend_from_slice(profile_bytes);
+            cache.profile = Some(SharedProfile::clone(&p));
+            p
+        }
+    };
+    let news = NewsMessage {
+        header,
+        profile,
+        dislikes,
+        hops,
+    };
+    Ok((from, Payload::News(news), fresh_item))
+}
+
+/// Inverse of [`put_news_item`]: the one news-content parser, shared by
+/// [`decode`] and [`decode_bundle_entry`].
+pub fn get_news_item(r: &mut Reader<'_>) -> Result<NewsItem, DecodeError> {
+    Ok(NewsItem {
+        source: r.u32()?,
+        created_at: r.u32()?,
+        title: r.str()?.to_owned(),
+        description: r.str()?.to_owned(),
+        link: r.str()?.to_owned(),
+    })
+}
+
+/// Inverse of [`put_descriptors`].
+pub fn get_descriptors(r: &mut Reader<'_>) -> Result<Vec<Descriptor<SharedProfile>>, DecodeError> {
+    let count = r.count_u16(DESCRIPTOR_MIN_BYTES)?;
+    let mut descriptors = Vec::with_capacity(count);
+    for _ in 0..count {
+        descriptors.push(Descriptor {
+            node: r.u32()?,
+            age: r.u32()?,
+            payload: SharedProfile::new(get_profile(r)?),
+        });
     }
+    Ok(descriptors)
 }
 
 /// Inverse of [`put_profile`].
-pub fn get_profile(buf: &mut &[u8]) -> Result<Profile, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u16_le() as usize;
-    let mut entries = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        if buf.remaining() < 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let item = buf.get_u64_le();
-        let timestamp = buf.get_u32_le();
-        let score = buf.get_f32_le();
+pub fn get_profile(r: &mut Reader<'_>) -> Result<Profile, DecodeError> {
+    let len = r.count_u16(PROFILE_ENTRY_BYTES)?;
+    // Fixed-size chunks: the per-field reads below cannot fail, and the
+    // compiler folds their checks away on this hot path.
+    let (block, _) = r
+        .bytes(len * PROFILE_ENTRY_BYTES)?
+        .as_chunks::<PROFILE_ENTRY_BYTES>();
+    let mut entries = Vec::with_capacity(len);
+    for chunk in block {
+        let mut e = Reader::new(chunk);
         entries.push(ProfileEntry {
-            item,
-            timestamp,
-            score,
+            item: e.u64()?,
+            timestamp: e.u32()?,
+            score: e.f32()?,
         });
     }
     // Wire profiles are serialized from sorted storage, so this takes the
     // allocation-reusing sorted path on every well-formed frame.
     Ok(Profile::from_vec(entries))
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    // lint:allow(wire-panic) bounds checked: remaining >= len just above
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
 // ---------------------------------------------------------------------------
@@ -741,28 +732,25 @@ pub fn encode_digest(from: NodeId, lines: &[DigestLine]) -> Result<Bytes, FrameT
 }
 
 /// Inverse of [`encode_digest`].
-pub fn decode_digest(mut buf: &[u8]) -> Result<(NodeId, Vec<DigestLine>), DecodeError> {
-    if buf.remaining() < ANTI_ENTROPY_HEADER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::DIGEST {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    let mut lines = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        if buf.remaining() < DIGEST_LINE_BYTES {
-            return Err(DecodeError::Truncated);
-        }
-        lines.push(DigestLine {
-            node: buf.get_u32_le(),
-            incarnation: buf.get_u32_le(),
-            max_version: buf.get_u64_le(),
-        });
-    }
+pub fn decode_digest(frame: &[u8]) -> Result<(NodeId, Vec<DigestLine>), DecodeError> {
+    let mut r = Reader::new(frame);
+    let from = anti_entropy_header(&mut r, wire::DIGEST)?;
+    let lines = r.list(DIGEST_LINE_BYTES, |r| {
+        Ok(DigestLine {
+            node: r.u32()?,
+            incarnation: r.u32()?,
+            max_version: r.u64()?,
+        })
+    })?;
     Ok((from, lines))
+}
+
+/// Reads a digest/delta frame's `tag:u8 from:u32`, checking the tag.
+fn anti_entropy_header(r: &mut Reader<'_>, want: u8) -> Result<NodeId, DecodeError> {
+    match r.u8()? {
+        tag if tag == want => r.u32(),
+        other => Err(DecodeError::BadTag(other)),
+    }
 }
 
 /// Encodes an anti-entropy delta frame. The caller is responsible for
@@ -801,56 +789,26 @@ pub fn encode_delta(from: NodeId, entries: &[DeltaEntry]) -> Result<Bytes, Frame
 }
 
 /// Inverse of [`encode_delta`].
-pub fn decode_delta(mut buf: &[u8]) -> Result<(NodeId, Vec<DeltaEntry>), DecodeError> {
-    if buf.remaining() < ANTI_ENTROPY_HEADER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::DELTA {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    let mut entries = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        if buf.remaining() < 17 {
-            return Err(DecodeError::Truncated);
-        }
-        let node = buf.get_u32_le();
-        let incarnation = buf.get_u32_le();
-        let version = buf.get_u64_le();
-        let kind = buf.get_u8();
-        let value = match kind {
-            0 => {
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::Heartbeat(buf.get_u32_le())
-            }
-            1 => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::ProfileDigest(buf.get_u64_le())
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::NewsKey {
-                    item: buf.get_u32_le(),
-                    published_at: buf.get_u32_le(),
-                }
-            }
-            other => return Err(DecodeError::BadTag(other)),
-        };
-        entries.push(DeltaEntry {
-            node,
-            incarnation,
-            version,
-            value,
-        });
-    }
+pub fn decode_delta(frame: &[u8]) -> Result<(NodeId, Vec<DeltaEntry>), DecodeError> {
+    let mut r = Reader::new(frame);
+    let from = anti_entropy_header(&mut r, wire::DELTA)?;
+    // Every entry carries at least its header and a 4-byte heartbeat.
+    let entries = r.list(21, |r| {
+        Ok(DeltaEntry {
+            node: r.u32()?,
+            incarnation: r.u32()?,
+            version: r.u64()?,
+            value: match r.u8()? {
+                0 => DeltaValue::Heartbeat(r.u32()?),
+                1 => DeltaValue::ProfileDigest(r.u64()?),
+                2 => DeltaValue::NewsKey {
+                    item: r.u32()?,
+                    published_at: r.u32()?,
+                },
+                other => return Err(DecodeError::BadTag(other)),
+            },
+        })
+    })?;
     Ok((from, entries))
 }
 
@@ -937,9 +895,13 @@ mod tests {
 
     #[test]
     fn bundle_is_not_a_payload() {
+        // Bundles open only through `bundle_view`; the message decoder
+        // rejects their tag.
         let frame = encode_bundle(0, &[], |_| None);
-        let (_, wire) = decode(&frame).unwrap();
-        assert_eq!(wire.try_into_payload(), Err(DecodeError::BundlePayload));
+        assert_eq!(
+            decode(&frame),
+            Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE))
+        );
     }
 
     #[test]
@@ -980,6 +942,24 @@ mod tests {
         assert_eq!(big.len() - small.len(), 100 * 16);
     }
 
+    type Mail = Vec<(NodeId, NodeId, Payload)>;
+
+    /// Opens a bundle through the one bundle decoder: the shard index and
+    /// every `(to, from, payload)` entry.
+    fn open_bundle(frame: &[u8]) -> Result<(u32, Mail), DecodeError> {
+        let view = bundle_view(frame)?;
+        let shard = view.from_shard();
+        let mut cache = NewsDecodeCache::default();
+        let entries = view
+            .map(|entry| {
+                let (to, inner) = entry?;
+                let (from, payload, _) = decode_bundle_entry(inner, &mut cache)?;
+                Ok((to, from, payload))
+            })
+            .collect::<Result<_, DecodeError>>()?;
+        Ok((shard, entries))
+    }
+
     #[test]
     fn bundle_roundtrip_mixed_entries() {
         let item = NewsItem::new("hello", "world", "https://n/1", 3, 9);
@@ -1000,26 +980,13 @@ mod tests {
             assert_eq!(id, content.id());
             Some(content.clone())
         });
-        let (shard, wire) = decode(&frame).unwrap();
-        assert_eq!(shard, 3);
-        let WireMessage::Bundle(decoded) = wire else {
-            panic!("expected bundle")
-        };
-        assert_eq!(decoded.len(), 2);
-        assert_eq!((decoded[0].to, decoded[0].from), (5, 1));
-        assert_eq!((decoded[1].to, decoded[1].from), (6, 2));
-        assert_eq!(decoded[0].message.clone().try_into_payload().unwrap(), news);
-        assert_eq!(
-            decoded[1].message.clone().try_into_payload().unwrap(),
-            gossip
-        );
+        assert_eq!(open_bundle(&frame), Ok((3, entries)));
     }
 
     #[test]
     fn empty_bundle_roundtrips() {
         let frame = encode_bundle(0, &[], |_| None);
-        let (_, wire) = decode(&frame).unwrap();
-        assert_eq!(wire, WireMessage::Bundle(vec![]));
+        assert_eq!(open_bundle(&frame), Ok((0, vec![])));
     }
 
     #[test]
@@ -1035,8 +1002,27 @@ mod tests {
         )];
         let frame = encode_bundle(0, &entries, |_| None);
         for cut in [4, 8, 12, frame.len() - 1] {
-            assert!(decode(&frame[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(
+                open_bundle(&frame[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
+    }
+
+    #[test]
+    fn reader_rejects_counts_the_frame_cannot_back() {
+        // A u32::MAX count with nothing behind it fails before any
+        // allocation is sized from it.
+        let mut r = Reader::new(&[0xff, 0xff, 0xff, 0xff, 0, 0]);
+        assert_eq!(r.count(1), Err(DecodeError::Truncated));
+        let mut r = Reader::new(&[2, 0, 0, 0, 7, 7]);
+        assert_eq!(r.count(1), Ok(2));
+        assert_eq!(r.finish(), Err(DecodeError::Trailing(2)));
+        assert_eq!(r.bytes(3), Err(DecodeError::Truncated));
+        let mut r = Reader::new(&[2, 0, 0xc3, 0x28]);
+        assert_eq!(r.str(), Err(DecodeError::BadUtf8));
+        let mut r = Reader::new(&[2]);
+        assert!(r.bool().is_err(), "flag bytes are 0 or 1");
     }
 
     #[test]

@@ -129,17 +129,13 @@ impl Peer {
         if self.loss > 0.0 && self.rng.gen_bool(self.loss) {
             return Vec::new();
         }
-        let Ok((from, wire)) = codec::decode(frame) else {
-            // Corrupt frames are dropped: robustness over crash.
-            return Vec::new();
-        };
-        // Mailbox bundles are the simulator's shard-exchange batches, never
-        // a peer-level datagram: `try_into_payload` rejects them with a
-        // typed error (as it does hand-built frames with a bad gossip
-        // kind), so a confused or malicious sender cannot smuggle a batch
-        // past the per-message path — the frame is dropped like any other
-        // corrupt input.
-        let Ok(payload) = wire.try_into_payload() else {
+        // Corrupt frames are dropped: robustness over crash. Mailbox
+        // bundles are the simulator's shard-exchange batches, never a
+        // peer-level datagram: `decode` rejects their tag, so a confused or
+        // malicious sender cannot smuggle a batch past the per-message path.
+        let Ok((from, payload)) =
+            codec::decode(frame).and_then(|(from, wire)| Ok((from, wire.try_into_payload()?)))
+        else {
             return Vec::new();
         };
         if let Payload::News(msg) = &payload {

@@ -6,13 +6,12 @@
 //! This is the executable form of the `wire-panic` contract that
 //! `whatsup-lint` enforces statically on `codec.rs`: untrusted bytes reach
 //! `decode`/`bundle_view`/`decode_digest`/`decode_delta` from the network,
-//! so every slice index on those paths must be bounds-checked. Checkpoint
-//! frames are covered through their building blocks: shard checkpoints
-//! (see `whatsup_sim::engine::shard`) store node state as
-//! `put_profile`/`put_descriptors` spans, so corrupting those spans and
-//! feeding `get_profile`/`get_descriptors` exercises exactly the parsing a
-//! checkpoint restore performs (the engine's `.expect` on top is a trusted
-//! -path policy choice, not a parsing path).
+//! so every read on those paths goes through the fallible `Reader`. The
+//! profile and descriptor spans are covered on their own too, as the
+//! building blocks the simulator's shard protocol embeds (view snapshots,
+//! checkpoints); the shard-protocol frames themselves — commands, replies,
+//! the handshake and checkpoints — get the same treatment in
+//! `whatsup_sim`'s `shard_protocol_corruption` test.
 
 use proptest::prelude::*;
 use whatsup_core::message::wire;
@@ -21,8 +20,8 @@ use whatsup_core::{
 };
 use whatsup_net::codec::{
     bundle_view, decode, decode_bundle_entry, decode_delta, decode_digest, encode, encode_bundle,
-    encode_delta, encode_digest, get_descriptors, get_profile, DeltaEntry, DeltaValue, DigestLine,
-    NewsDecodeCache,
+    encode_delta, encode_digest, get_descriptors, get_profile, DecodeError, DeltaEntry, DeltaValue,
+    DigestLine, NewsDecodeCache, Reader,
 };
 
 fn profile(entries: &[(u64, u32, bool)]) -> Profile {
@@ -66,7 +65,7 @@ fn news_payload(item: &NewsItem, entries: &[(u64, u32, bool)]) -> Payload {
 
 /// One valid frame of every wire kind, built from the generated entries:
 /// the four gossip kinds, a news frame, a mailbox bundle mixing gossip and
-/// news, an anti-entropy digest and delta, and the checkpoint span
+/// news, an anti-entropy digest and delta, and the embedded span
 /// building blocks (a `put_profile` span and a `put_descriptors` span).
 fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
     let item = news_item(entries.len() as u64, from);
@@ -134,7 +133,7 @@ fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
         },
     ];
     frames.push(encode_delta(from, &delta).unwrap().to_vec());
-    // Checkpoint span building blocks (what a shard checkpoint embeds).
+    // Span building blocks (what snapshots and checkpoints embed).
     let mut buf = bytes::BytesMut::new();
     whatsup_net::codec::put_profile(&mut buf, &profile(entries));
     frames.push(buf.to_vec());
@@ -144,6 +143,16 @@ fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
     frames
 }
 
+/// Decodes every entry of a bundle frame through the one bundle decoder.
+fn open_bundle(buf: &[u8]) -> Result<(), DecodeError> {
+    let mut cache = NewsDecodeCache::default();
+    for entry in bundle_view(buf)? {
+        let (_, inner) = entry?;
+        decode_bundle_entry(inner, &mut cache)?;
+    }
+    Ok(())
+}
+
 /// Feeds one byte buffer to every decode entry point. The only acceptable
 /// outcomes are `Ok` or a typed error; a panic fails the test by
 /// unwinding.
@@ -151,19 +160,11 @@ fn exercise_all_decoders(buf: &[u8]) {
     if let Ok((_, msg)) = decode(buf) {
         let _ = msg.try_into_payload();
     }
-    if let Ok(view) = bundle_view(buf) {
-        let mut cache = NewsDecodeCache::default();
-        for entry in view {
-            let Ok((_, inner)) = entry else { break };
-            let _ = decode_bundle_entry(inner, &mut cache);
-        }
-    }
+    let _ = open_bundle(buf);
     let _ = decode_digest(buf);
     let _ = decode_delta(buf);
-    let mut cursor = buf;
-    let _ = get_profile(&mut cursor);
-    let mut cursor = buf;
-    let _ = get_descriptors(&mut cursor);
+    let _ = get_profile(&mut Reader::new(buf));
+    let _ = get_descriptors(&mut Reader::new(buf));
 }
 
 fn profile_strategy() -> impl Strategy<Value = Vec<(u64, u32, bool)>> {
@@ -223,7 +224,7 @@ proptest! {
 fn every_prefix_and_single_bit_flip_is_panic_free() {
     let entries = [(42u64, 9u32, true), (7u64, 3u32, false)];
     let frames = all_frames(5, &entries);
-    // The last two buffers are checkpoint *spans* (no tag byte), so the
+    // The last two buffers are embedded *spans* (no tag byte), so the
     // strict-prefix rejection contract below applies to the tagged frames
     // only; the spans still get the full no-panic treatment.
     let tagged = frames.len() - 2;
@@ -241,6 +242,12 @@ fn every_prefix_and_single_bit_flip_is_panic_free() {
                     decode(prefix).is_err(),
                     "frame {frame_ix}: decode accepted a {cut}-byte prefix of {} bytes",
                     frame.len()
+                );
+            }
+            if frame[0] == wire::MAILBOX_BUNDLE {
+                assert!(
+                    open_bundle(prefix).is_err(),
+                    "bundle accepted a {cut}-byte prefix"
                 );
             }
             if frame[0] == wire::DIGEST {

@@ -20,9 +20,11 @@
 //! --transport socket --workers addr,…`).
 //!
 //! Exit status: `0` after an orderly `Stop`; `1` with a one-line stderr
-//! message when the driver vanishes mid-run (EOF/broken pipe) or the
-//! handshake fails; `2` for bad usage (including no arguments). A killed
-//! driver must never leave a panic backtrace here.
+//! message when the driver vanishes mid-run (EOF/broken pipe), the
+//! handshake fails, or a frame does not decode (the worker accepts frames
+//! from any TCP peer, so a truncated or forged frame is a typed error);
+//! `2` for bad usage (including no arguments). Neither a killed driver nor
+//! a hostile peer may ever leave a panic backtrace here.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpListener;

@@ -21,12 +21,11 @@ use crate::engine::{node_stream, ChannelTransport};
 use crate::oracle::Oracle;
 use crate::record::{ItemRecord, NodeIr, SimReport};
 use crate::scenario::{Event, Scenario, WindowSpec};
-use bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io;
-use whatsup_core::{NewsItem, NodeId, Opinions, Params, Profile, WhatsUpNode};
+use whatsup_core::{ColdStart, NewsItem, NodeId, Opinions, Params, Profile, WhatsUpNode};
 use whatsup_datasets::Dataset;
 use whatsup_graph::Graph;
 use whatsup_metrics::{CycleSeries, CycleStats};
@@ -292,16 +291,16 @@ fn fetch_snapshot(
     core: &DriverCore,
     t: &mut impl ShardTransport,
     id: NodeId,
-) -> Result<Bytes, TransportError> {
+) -> Result<ColdStart, TransportError> {
     let owner = core.partition.shard_of(id);
     let reply = t
         .roundtrip(vec![(owner, Command::TakeSnapshots { ids: vec![id] })])?
         .pop()
         .expect("one snapshot reply");
-    let Reply::Snapshots(mut frames) = reply else {
+    let Reply::Snapshots(mut snapshots) = reply else {
         panic!("expected Snapshots");
     };
-    Ok(frames.pop().expect("one snapshot frame"))
+    Ok(snapshots.pop().expect("one snapshot"))
 }
 
 /// Admits a node cloning `reference`'s interests: cold start from a random
@@ -471,16 +470,16 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
                 .collect();
             let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
             let replies = t.roundtrip(batch)?;
-            let mut snapshots: BTreeMap<NodeId, Bytes> = BTreeMap::new();
+            let mut snapshots: BTreeMap<NodeId, ColdStart> = BTreeMap::new();
             for (s, reply) in targets.into_iter().zip(replies) {
-                let Reply::Snapshots(frames) = reply else {
+                let Reply::Snapshots(taken) = reply else {
                     panic!("expected Snapshots");
                 };
-                for (&id, frame) in wanted[s].iter().zip(frames) {
-                    snapshots.insert(id, frame);
+                for (&id, snapshot) in wanted[s].iter().zip(taken) {
+                    snapshots.insert(id, snapshot);
                 }
             }
-            let mut resets: Vec<Vec<(NodeId, Bytes)>> = vec![Vec::new(); shards];
+            let mut resets: Vec<Vec<(NodeId, ColdStart)>> = vec![Vec::new(); shards];
             for (node, contact) in pairs {
                 resets[core.partition.shard_of(node)].push((node, snapshots[&contact].clone()));
             }

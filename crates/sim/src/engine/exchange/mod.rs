@@ -14,26 +14,26 @@
 //!
 //! The [`stream`] submodule holds the byte-stream plumbing: length-prefixed
 //! framing over generic `Read`/`Write`, the versioned bootstrap handshake,
-//! and the worker serve loop — `sim-shard-worker` is a thin shell around
-//! it.
+//! and the worker serve loop with its frame dispatch
+//! ([`stream::handle_frame`]) — `sim-shard-worker` is a thin shell around
+//! it. The [`frames`] submodule holds every frame layout: hello and
+//! handshake, commands and replies, view snapshots and checkpoints.
 //!
 //! Cross-shard mail travels as a [`Bundle`]: typed `(to, from, payload)`
 //! values between in-process shard threads (profile `Arc`s intact, no
 //! codec), or one opaque `whatsup-net` wire frame on a byte stream. Shards
-//! only ever see typed mail; the byte-stream dispatch point
-//! ([`crate::engine::shard::handle_frame`]) is the one place that converts,
-//! and the driver forwards wire bundles between workers without decoding
-//! them.
+//! only ever see typed values; [`stream::handle_frame`] converts on the
+//! worker side, and the driver decodes only its reply frames, forwarding
+//! wire bundles unopened.
 //!
-//! Every frame is hand-encoded little-endian via the `bytes` buffers;
-//! mailbox bundles and view snapshots embed the `whatsup-net` wire codec's
-//! encodings, so the two stacks share one message format. Command/reply
-//! payloads are engine-internal: both peers have already passed the
-//! versioned handshake, so a malformed *payload* is an engine bug and
-//! panics. Everything at the conversation boundary — connecting, the
-//! handshake, a peer vanishing, a frame truncated on the wire — surfaces
-//! as a typed [`TransportError`] naming the endpoint instead.
+//! A listening worker takes frames from any TCP peer, so every [`frames`]
+//! decoder is fallible: a malformed frame ends a worker with a one-line
+//! [`stream::WorkerError::Malformed`] and fails the driver with a
+//! non-retryable [`TransportErrorKind::Malformed`] naming the endpoint.
+//! Every other conversation failure — connecting, the handshake, a peer
+//! vanishing, a torn frame — is a typed [`TransportError`] too.
 
+pub mod frames;
 pub mod socket;
 pub mod stream;
 pub mod supervisor;
@@ -42,17 +42,11 @@ pub use socket::SocketTransport;
 pub use stream::{read_frame, write_frame};
 pub use supervisor::{SupervisedTransport, Supervision};
 
-use crate::engine::partition::Partition;
-use crate::engine::shard::ShardInit;
-use crate::oracle::Oracle;
-use crate::scenario::{ChurnModel, LossModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 use std::io;
-use whatsup_core::beep::{DislikeRule, TargetPool};
-use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params, Payload};
-use whatsup_datasets::{CsrLikes, LikeMatrix, LikeStore};
-use whatsup_net::codec;
+use whatsup_core::{ColdStart, ItemId, NewsItem, NodeId, Payload};
+use whatsup_net::codec::DecodeError;
 
 /// A transport-level failure: the conversation with a shard worker could
 /// not start or could not continue. Carries the worker's endpoint (a
@@ -79,6 +73,8 @@ pub enum TransportErrorKind {
     HandshakeVersion { got: u16, want: u16 },
     /// A worker process exited with a failure status.
     WorkerExit(String),
+    /// The peer sent a frame that does not decode.
+    Malformed(DecodeError),
 }
 
 impl TransportErrorKind {
@@ -88,13 +84,15 @@ impl TransportErrorKind {
     /// succeed. Handshake failures are *configuration* errors: the peer is
     /// not a shard worker, or speaks a different protocol version, and a
     /// restarted peer would fail identically — restart-looping it would
-    /// mask a version-skewed deployment instead of reporting it.
+    /// mask a version-skewed deployment instead of reporting it. A
+    /// malformed frame is not retried either: shards are deterministic, so
+    /// a replay would send the same bytes again.
     pub fn is_retryable(&self) -> bool {
         match self {
             TransportErrorKind::Io(_) | TransportErrorKind::WorkerExit(_) => true,
-            TransportErrorKind::HandshakeMagic | TransportErrorKind::HandshakeVersion { .. } => {
-                false
-            }
+            TransportErrorKind::HandshakeMagic
+            | TransportErrorKind::HandshakeVersion { .. }
+            | TransportErrorKind::Malformed(_) => false,
         }
     }
 }
@@ -104,6 +102,14 @@ impl TransportError {
         Self {
             endpoint: endpoint.into(),
             kind: TransportErrorKind::Io(err),
+        }
+    }
+
+    /// A frame from `endpoint` that does not decode.
+    pub fn malformed(endpoint: impl Into<String>, err: DecodeError) -> Self {
+        Self {
+            endpoint: endpoint.into(),
+            kind: TransportErrorKind::Malformed(err),
         }
     }
 
@@ -134,6 +140,9 @@ impl fmt::Display for TransportError {
             ),
             TransportErrorKind::WorkerExit(status) => {
                 write!(f, "shard worker {}: exited with {status}", self.endpoint)
+            }
+            TransportErrorKind::Malformed(e) => {
+                write!(f, "shard worker {}: malformed frame: {e}", self.endpoint)
             }
         }
     }
@@ -167,14 +176,14 @@ pub enum Command {
     /// Snapshot the views of the given owned nodes (pre-churn state).
     TakeSnapshots { ids: Vec<NodeId> },
     /// Reset each `(node, snapshot)` to a fresh cold-started instance.
-    ApplyChurn { resets: Vec<(NodeId, Bytes)> },
+    ApplyChurn { resets: Vec<(NodeId, ColdStart)> },
     /// A node joins at the end of the id space, interests cloned from
     /// `reference`. Broadcast to every shard (each updates its partition and
     /// oracle copies); only the owning (last) shard receives the rejoin
     /// snapshot and builds the node.
     Admit {
         reference: NodeId,
-        snapshot: Option<Bytes>,
+        snapshot: Option<ColdStart>,
     },
     /// Swap the ground-truth interests of two nodes in this shard's oracle
     /// copy (broadcast; the driver keeps every copy in lockstep).
@@ -195,7 +204,9 @@ pub enum Command {
     TakeCheckpoint,
     /// Replace the shard's state with a previously taken checkpoint frame
     /// (recovery path; the worker was freshly handshaken with its original
-    /// init before this arrives). Answered with [`Reply::Ack`].
+    /// init before this arrives). Answered with [`Reply::Ack`]. Only
+    /// byte-stream workers checkpoint, and [`stream::handle_frame`] decodes
+    /// and applies the frame.
     Restore { frame: Bytes },
     /// Exit the serve loop.
     Stop,
@@ -209,8 +220,8 @@ pub enum Bundle {
     /// it as is, so shared profile `Arc`s cross shard threads intact.
     Mail(Vec<(NodeId, NodeId, Payload)>),
     /// The same mail as one `whatsup-net` `MAILBOX_BUNDLE` frame — its form
-    /// on a byte stream. Only [`crate::engine::shard::handle_frame`]
-    /// converts between the two; the driver forwards it unopened.
+    /// on a byte stream. Only [`stream::handle_frame`] converts between the
+    /// two; the driver forwards it unopened.
     Wire(Bytes),
 }
 
@@ -256,7 +267,7 @@ impl Outbound {
 }
 
 /// Wire form of one receiver's first reception of an item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FirstReception {
     pub hop: u16,
     pub sender_liked: bool,
@@ -279,8 +290,8 @@ pub struct NewsOutcome {
 pub enum Reply {
     Outbound(Outbound),
     ChurnDecisions(Vec<(NodeId, NodeId)>),
-    /// Snapshots in request order (encoded [`ColdStart`]s).
-    Snapshots(Vec<Bytes>),
+    /// View snapshots in request order.
+    Snapshots(Vec<ColdStart>),
     Ack,
     Published {
         /// Hop stamp of the source's forwards, when it forwarded.
@@ -291,9 +302,7 @@ pub enum Reply {
         out: Outbound,
         outcomes: Vec<NewsOutcome>,
     },
-    /// The shard's serialized state (see
-    /// [`crate::engine::shard::ShardState::encode_checkpoint`] for the
-    /// frame layout).
+    /// The shard's serialized state (a [`frames::Checkpoint`] frame).
     Checkpoint(Bytes),
 }
 
@@ -330,712 +339,6 @@ pub trait ShardTransport {
     fn cycle_boundary(&mut self, completed_cycle: u32) -> Result<(), TransportError> {
         let _ = completed_cycle;
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame encoding helpers
-// ---------------------------------------------------------------------------
-
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Bytes {
-    let len = buf.get_u32_le() as usize;
-    let out = Bytes::copy_from_slice(&buf[..len]);
-    buf.advance(len);
-    out
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string field too long");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> String {
-    let len = buf.get_u16_le() as usize;
-    let out = String::from_utf8(buf[..len].to_vec()).expect("utf-8 string field");
-    buf.advance(len);
-    out
-}
-
-fn put_bytes_list(buf: &mut BytesMut, frames: &[Bytes]) {
-    buf.put_u32_le(frames.len() as u32);
-    for f in frames {
-        put_bytes(buf, f);
-    }
-}
-
-fn get_bytes_list(buf: &mut &[u8]) -> Vec<Bytes> {
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| get_bytes(buf)).collect()
-}
-
-/// Bundles on a byte stream are wire frames; an empty bundle of either
-/// form is a zero-length frame.
-///
-/// # Panics
-/// Panics on non-empty typed mail: the byte-stream boundary
-/// ([`crate::engine::shard::handle_frame`]) encodes a shard's outbound mail
-/// before its reply is framed, and the driver only ever forwards the wire
-/// bundles it received.
-fn put_bundles(buf: &mut BytesMut, bundles: &[Bundle]) {
-    buf.put_u32_le(bundles.len() as u32);
-    for b in bundles {
-        match b {
-            Bundle::Wire(frame) => put_bytes(buf, frame),
-            Bundle::Mail(mail) => {
-                assert!(mail.is_empty(), "typed mail reached the frame codec");
-                buf.put_u32_le(0);
-            }
-        }
-    }
-}
-
-fn get_bundles(buf: &mut &[u8]) -> Vec<Bundle> {
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| Bundle::Wire(get_bytes(buf))).collect()
-}
-
-pub(crate) fn put_news_item(buf: &mut BytesMut, item: &NewsItem) {
-    put_str(buf, &item.title);
-    put_str(buf, &item.description);
-    put_str(buf, &item.link);
-    buf.put_u32_le(item.source);
-    buf.put_u32_le(item.created_at);
-}
-
-pub(crate) fn get_news_item(buf: &mut &[u8]) -> NewsItem {
-    let title = get_str(buf);
-    let description = get_str(buf);
-    let link = get_str(buf);
-    let source = buf.get_u32_le();
-    let created_at = buf.get_u32_le();
-    NewsItem {
-        title,
-        description,
-        link,
-        source,
-        created_at,
-    }
-}
-
-/// Serializes a view snapshot with the wire codec's descriptor encoding.
-pub fn encode_cold_start(cs: &ColdStart) -> Bytes {
-    let mut buf = BytesMut::with_capacity(256);
-    codec::put_descriptors(&mut buf, &cs.rps_view);
-    codec::put_descriptors(&mut buf, &cs.wup_view);
-    buf.freeze()
-}
-
-/// Inverse of [`encode_cold_start`].
-pub fn decode_cold_start(mut frame: &[u8]) -> ColdStart {
-    let rps_view = codec::get_descriptors(&mut frame).expect("malformed snapshot");
-    let wup_view = codec::get_descriptors(&mut frame).expect("malformed snapshot");
-    ColdStart { rps_view, wup_view }
-}
-
-// ---------------------------------------------------------------------------
-// Command / reply frames
-// ---------------------------------------------------------------------------
-
-const CMD_COLLECT: u8 = 1;
-const CMD_DELIVER_GOSSIP: u8 = 2;
-const CMD_CHURN_DECIDE: u8 = 3;
-const CMD_TAKE_SNAPSHOTS: u8 = 4;
-const CMD_APPLY_CHURN: u8 = 5;
-const CMD_BEGIN_NEWS: u8 = 6;
-const CMD_PUBLISH: u8 = 7;
-const CMD_DELIVER_NEWS: u8 = 8;
-const CMD_STOP: u8 = 9;
-const CMD_ADMIT: u8 = 10;
-const CMD_SWAP_INTERESTS: u8 = 11;
-// Opcode 12 was `TakeCycleCounters` in protocol v2; the driver now folds
-// cycle counters from the phase replies it already receives, so the
-// end-of-cycle counter round-trip no longer exists.
-const CMD_TAKE_CHECKPOINT: u8 = 13;
-const CMD_RESTORE: u8 = 14;
-
-pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    match cmd {
-        Command::Collect { cycle } => {
-            buf.put_u8(CMD_COLLECT);
-            buf.put_u32_le(*cycle);
-        }
-        Command::DeliverGossip { cycle, bundles } => {
-            buf.put_u8(CMD_DELIVER_GOSSIP);
-            buf.put_u32_le(*cycle);
-            put_bundles(&mut buf, bundles);
-        }
-        Command::ChurnDecide { cycle } => {
-            buf.put_u8(CMD_CHURN_DECIDE);
-            buf.put_u32_le(*cycle);
-        }
-        Command::TakeSnapshots { ids } => {
-            buf.put_u8(CMD_TAKE_SNAPSHOTS);
-            buf.put_u32_le(ids.len() as u32);
-            for id in ids {
-                buf.put_u32_le(*id);
-            }
-        }
-        Command::ApplyChurn { resets } => {
-            buf.put_u8(CMD_APPLY_CHURN);
-            buf.put_u32_le(resets.len() as u32);
-            for (node, snapshot) in resets {
-                buf.put_u32_le(*node);
-                put_bytes(&mut buf, snapshot);
-            }
-        }
-        Command::BeginNews => buf.put_u8(CMD_BEGIN_NEWS),
-        Command::Publish { cycle, item } => {
-            buf.put_u8(CMD_PUBLISH);
-            buf.put_u32_le(*cycle);
-            put_news_item(&mut buf, item);
-        }
-        Command::DeliverNews {
-            cycle,
-            item,
-            bundles,
-        } => {
-            buf.put_u8(CMD_DELIVER_NEWS);
-            buf.put_u32_le(*cycle);
-            buf.put_u64_le(*item);
-            put_bundles(&mut buf, bundles);
-        }
-        Command::Admit {
-            reference,
-            snapshot,
-        } => {
-            buf.put_u8(CMD_ADMIT);
-            buf.put_u32_le(*reference);
-            buf.put_u8(u8::from(snapshot.is_some()));
-            if let Some(frame) = snapshot {
-                put_bytes(&mut buf, frame);
-            }
-        }
-        Command::SwapInterests { a, b } => {
-            buf.put_u8(CMD_SWAP_INTERESTS);
-            buf.put_u32_le(*a);
-            buf.put_u32_le(*b);
-        }
-        Command::TakeCheckpoint => buf.put_u8(CMD_TAKE_CHECKPOINT),
-        Command::Restore { frame } => {
-            buf.put_u8(CMD_RESTORE);
-            put_bytes(&mut buf, frame);
-        }
-        Command::Stop => buf.put_u8(CMD_STOP),
-    }
-    Vec::from(buf)
-}
-
-pub fn decode_command(mut frame: &[u8]) -> Command {
-    let buf = &mut frame;
-    match buf.get_u8() {
-        CMD_COLLECT => Command::Collect {
-            cycle: buf.get_u32_le(),
-        },
-        CMD_DELIVER_GOSSIP => Command::DeliverGossip {
-            cycle: buf.get_u32_le(),
-            bundles: get_bundles(buf),
-        },
-        CMD_CHURN_DECIDE => Command::ChurnDecide {
-            cycle: buf.get_u32_le(),
-        },
-        CMD_TAKE_SNAPSHOTS => {
-            let n = buf.get_u32_le() as usize;
-            Command::TakeSnapshots {
-                ids: (0..n).map(|_| buf.get_u32_le()).collect(),
-            }
-        }
-        CMD_APPLY_CHURN => {
-            let n = buf.get_u32_le() as usize;
-            Command::ApplyChurn {
-                resets: (0..n)
-                    .map(|_| {
-                        let node = buf.get_u32_le();
-                        let snapshot = get_bytes(buf);
-                        (node, snapshot)
-                    })
-                    .collect(),
-            }
-        }
-        CMD_BEGIN_NEWS => Command::BeginNews,
-        CMD_PUBLISH => Command::Publish {
-            cycle: buf.get_u32_le(),
-            item: get_news_item(buf),
-        },
-        CMD_DELIVER_NEWS => Command::DeliverNews {
-            cycle: buf.get_u32_le(),
-            item: buf.get_u64_le(),
-            bundles: get_bundles(buf),
-        },
-        CMD_ADMIT => {
-            let reference = buf.get_u32_le();
-            let has_snapshot = buf.get_u8() != 0;
-            Command::Admit {
-                reference,
-                snapshot: has_snapshot.then(|| get_bytes(buf)),
-            }
-        }
-        CMD_SWAP_INTERESTS => Command::SwapInterests {
-            a: buf.get_u32_le(),
-            b: buf.get_u32_le(),
-        },
-        CMD_TAKE_CHECKPOINT => Command::TakeCheckpoint,
-        CMD_RESTORE => Command::Restore {
-            frame: get_bytes(buf),
-        },
-        CMD_STOP => Command::Stop,
-        other => panic!("unknown command opcode {other}"),
-    }
-}
-
-const REP_OUTBOUND: u8 = 1;
-const REP_CHURN: u8 = 2;
-const REP_SNAPSHOTS: u8 = 3;
-const REP_ACK: u8 = 4;
-const REP_PUBLISHED: u8 = 5;
-const REP_NEWS: u8 = 6;
-// Opcode 7 was `CycleCounters` in protocol v2 (see the command-side note).
-const REP_CHECKPOINT: u8 = 8;
-
-fn put_outbound(buf: &mut BytesMut, out: &Outbound) {
-    buf.put_u64_le(out.sent);
-    buf.put_u64_le(out.local);
-    put_bundles(buf, &out.bundles);
-}
-
-fn get_outbound(buf: &mut &[u8]) -> Outbound {
-    Outbound {
-        sent: buf.get_u64_le(),
-        local: buf.get_u64_le(),
-        bundles: get_bundles(buf),
-    }
-}
-
-pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    match reply {
-        Reply::Outbound(out) => {
-            buf.put_u8(REP_OUTBOUND);
-            put_outbound(&mut buf, out);
-        }
-        Reply::ChurnDecisions(pairs) => {
-            buf.put_u8(REP_CHURN);
-            buf.put_u32_le(pairs.len() as u32);
-            for (node, contact) in pairs {
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*contact);
-            }
-        }
-        Reply::Snapshots(snaps) => {
-            buf.put_u8(REP_SNAPSHOTS);
-            put_bytes_list(&mut buf, snaps);
-        }
-        Reply::Ack => buf.put_u8(REP_ACK),
-        Reply::Published {
-            first_forward_hop,
-            out,
-        } => {
-            buf.put_u8(REP_PUBLISHED);
-            buf.put_u8(u8::from(first_forward_hop.is_some()));
-            buf.put_u16_le(first_forward_hop.unwrap_or(0));
-            put_outbound(&mut buf, out);
-        }
-        Reply::NewsDelivered { out, outcomes } => {
-            buf.put_u8(REP_NEWS);
-            put_outbound(&mut buf, out);
-            buf.put_u32_le(outcomes.len() as u32);
-            for o in outcomes {
-                buf.put_u32_le(o.receiver);
-                let first = o.first.unwrap_or(FirstReception {
-                    hop: 0,
-                    sender_liked: false,
-                    receiver_likes: false,
-                    dislikes: 0,
-                });
-                let (fwd_hop, fwd_liked) = o.forward.unwrap_or((0, false));
-                let flags = u8::from(o.first.is_some())
-                    | u8::from(first.sender_liked) << 1
-                    | u8::from(first.receiver_likes) << 2
-                    | u8::from(o.forward.is_some()) << 3
-                    | u8::from(fwd_liked) << 4;
-                buf.put_u8(flags);
-                buf.put_u16_le(first.hop);
-                buf.put_u8(first.dislikes);
-                buf.put_u16_le(fwd_hop);
-            }
-        }
-        Reply::Checkpoint(frame) => {
-            buf.put_u8(REP_CHECKPOINT);
-            put_bytes(&mut buf, frame);
-        }
-    }
-    Vec::from(buf)
-}
-
-pub fn decode_reply(mut frame: &[u8]) -> Reply {
-    let buf = &mut frame;
-    match buf.get_u8() {
-        REP_OUTBOUND => Reply::Outbound(get_outbound(buf)),
-        REP_CHURN => {
-            let n = buf.get_u32_le() as usize;
-            Reply::ChurnDecisions(
-                (0..n)
-                    .map(|_| {
-                        let node = buf.get_u32_le();
-                        let contact = buf.get_u32_le();
-                        (node, contact)
-                    })
-                    .collect(),
-            )
-        }
-        REP_SNAPSHOTS => Reply::Snapshots(get_bytes_list(buf)),
-        REP_ACK => Reply::Ack,
-        REP_PUBLISHED => {
-            let has_hop = buf.get_u8() != 0;
-            let hop = buf.get_u16_le();
-            Reply::Published {
-                first_forward_hop: has_hop.then_some(hop),
-                out: get_outbound(buf),
-            }
-        }
-        REP_NEWS => {
-            let out = get_outbound(buf);
-            let n = buf.get_u32_le() as usize;
-            let outcomes = (0..n)
-                .map(|_| {
-                    let receiver = buf.get_u32_le();
-                    let flags = buf.get_u8();
-                    let hop = buf.get_u16_le();
-                    let dislikes = buf.get_u8();
-                    let fwd_hop = buf.get_u16_le();
-                    NewsOutcome {
-                        receiver,
-                        first: (flags & 1 != 0).then_some(FirstReception {
-                            hop,
-                            sender_liked: flags & 2 != 0,
-                            receiver_likes: flags & 4 != 0,
-                            dislikes,
-                        }),
-                        forward: (flags & 8 != 0).then_some((fwd_hop, flags & 16 != 0)),
-                    }
-                })
-                .collect();
-            Reply::NewsDelivered { out, outcomes }
-        }
-        REP_CHECKPOINT => Reply::Checkpoint(get_bytes(buf)),
-        other => panic!("unknown reply opcode {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard init frame (worker bootstrap)
-// ---------------------------------------------------------------------------
-
-fn put_params(buf: &mut BytesMut, p: &Params) {
-    buf.put_u32_le(p.rps.view_size as u32);
-    buf.put_u32_le(p.rps.exchange_len as u32);
-    buf.put_u32_le(p.rps_period);
-    buf.put_u32_le(p.wup_view_size as u32);
-    buf.put_u8(match p.metric {
-        Metric::Wup => 0,
-        Metric::Cosine => 1,
-        Metric::Jaccard => 2,
-    });
-    buf.put_u32_le(p.profile_window);
-    buf.put_u32_le(p.beep.f_like as u32);
-    buf.put_u8(match p.beep.like_pool {
-        TargetPool::Wup => 0,
-        TargetPool::Rps => 1,
-    });
-    buf.put_u8(u8::from(p.beep.like_entire_view));
-    match p.beep.dislike {
-        DislikeRule::Drop => {
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-            buf.put_u8(0);
-            buf.put_u8(0);
-        }
-        DislikeRule::Forward {
-            fanout,
-            ttl,
-            oriented,
-        } => {
-            buf.put_u8(1);
-            buf.put_u32_le(fanout as u32);
-            buf.put_u8(ttl);
-            buf.put_u8(u8::from(oriented));
-        }
-    }
-    buf.put_u32_le(p.cold_start_items as u32);
-    buf.put_f64_le(p.obfuscation_epsilon);
-}
-
-fn get_params(buf: &mut &[u8]) -> Params {
-    let mut p = Params::default();
-    p.rps.view_size = buf.get_u32_le() as usize;
-    p.rps.exchange_len = buf.get_u32_le() as usize;
-    p.rps_period = buf.get_u32_le();
-    p.wup_view_size = buf.get_u32_le() as usize;
-    p.metric = match buf.get_u8() {
-        0 => Metric::Wup,
-        1 => Metric::Cosine,
-        2 => Metric::Jaccard,
-        other => panic!("unknown metric tag {other}"),
-    };
-    p.profile_window = buf.get_u32_le();
-    p.beep.f_like = buf.get_u32_le() as usize;
-    p.beep.like_pool = match buf.get_u8() {
-        0 => TargetPool::Wup,
-        1 => TargetPool::Rps,
-        other => panic!("unknown target pool tag {other}"),
-    };
-    p.beep.like_entire_view = buf.get_u8() != 0;
-    let dislike_tag = buf.get_u8();
-    let fanout = buf.get_u32_le() as usize;
-    let ttl = buf.get_u8();
-    let oriented = buf.get_u8() != 0;
-    p.beep.dislike = match dislike_tag {
-        0 => DislikeRule::Drop,
-        1 => DislikeRule::Forward {
-            fanout,
-            ttl,
-            oriented,
-        },
-        other => panic!("unknown dislike tag {other}"),
-    };
-    p.cold_start_items = buf.get_u32_le() as usize;
-    p.obfuscation_epsilon = buf.get_f64_le();
-    p
-}
-
-fn put_loss_model(buf: &mut BytesMut, loss: &LossModel) {
-    match *loss {
-        LossModel::Constant { p } => {
-            buf.put_u8(0);
-            buf.put_f64_le(p);
-        }
-        LossModel::GilbertElliott {
-            p_good,
-            p_bad,
-            good_to_bad,
-            bad_to_good,
-        } => {
-            buf.put_u8(1);
-            buf.put_f64_le(p_good);
-            buf.put_f64_le(p_bad);
-            buf.put_f64_le(good_to_bad);
-            buf.put_f64_le(bad_to_good);
-        }
-        LossModel::Partition {
-            from,
-            until,
-            frontier,
-        } => {
-            buf.put_u8(2);
-            buf.put_u32_le(from);
-            buf.put_u32_le(until);
-            buf.put_f64_le(frontier);
-        }
-    }
-}
-
-fn get_loss_model(buf: &mut &[u8]) -> LossModel {
-    match buf.get_u8() {
-        0 => LossModel::Constant {
-            p: buf.get_f64_le(),
-        },
-        1 => LossModel::GilbertElliott {
-            p_good: buf.get_f64_le(),
-            p_bad: buf.get_f64_le(),
-            good_to_bad: buf.get_f64_le(),
-            bad_to_good: buf.get_f64_le(),
-        },
-        2 => LossModel::Partition {
-            from: buf.get_u32_le(),
-            until: buf.get_u32_le(),
-            frontier: buf.get_f64_le(),
-        },
-        other => panic!("unknown loss model tag {other}"),
-    }
-}
-
-fn put_churn_model(buf: &mut BytesMut, churn: &ChurnModel) {
-    match *churn {
-        ChurnModel::None => buf.put_u8(0),
-        ChurnModel::Uniform { per_cycle } => {
-            buf.put_u8(1);
-            buf.put_f64_le(per_cycle);
-        }
-        ChurnModel::CrashWave { at, fraction } => {
-            buf.put_u8(2);
-            buf.put_u32_le(at);
-            buf.put_f64_le(fraction);
-        }
-        ChurnModel::MassJoin { at, count } => {
-            buf.put_u8(3);
-            buf.put_u32_le(at);
-            buf.put_u32_le(count);
-        }
-    }
-}
-
-fn get_churn_model(buf: &mut &[u8]) -> ChurnModel {
-    match buf.get_u8() {
-        0 => ChurnModel::None,
-        1 => ChurnModel::Uniform {
-            per_cycle: buf.get_f64_le(),
-        },
-        2 => ChurnModel::CrashWave {
-            at: buf.get_u32_le(),
-            fraction: buf.get_f64_le(),
-        },
-        3 => ChurnModel::MassJoin {
-            at: buf.get_u32_le(),
-            count: buf.get_u32_le(),
-        },
-        other => panic!("unknown churn model tag {other}"),
-    }
-}
-
-/// Like-store wire tags (see [`put_oracle`]).
-const ORACLE_STORE_DENSE: u8 = 0;
-const ORACLE_STORE_SPARSE: u8 = 1;
-
-pub(crate) fn put_oracle(buf: &mut BytesMut, oracle: &Oracle) {
-    // One tag byte selects the like-store representation; the chosen form
-    // travels as-is, so a worker reconstructs the exact store the driver
-    // measured cheaper (never re-deciding, which keeps every copy equal).
-    match oracle.store() {
-        LikeStore::Dense(m) => {
-            buf.put_u8(ORACLE_STORE_DENSE);
-            buf.put_u32_le(m.n_users() as u32);
-            buf.put_u32_le(m.n_items() as u32);
-            buf.put_u32_le(m.words().len() as u32);
-            for &w in m.words() {
-                buf.put_u64_le(w);
-            }
-        }
-        LikeStore::Sparse(c) => {
-            buf.put_u8(ORACLE_STORE_SPARSE);
-            buf.put_u32_le(c.n_users() as u32);
-            buf.put_u32_le(c.n_items() as u32);
-            buf.put_u32_le(c.items().len() as u32);
-            // offsets[0] is always 0: ship the n_users tail offsets.
-            for &o in &c.offsets()[1..] {
-                buf.put_u32_le(o);
-            }
-            for &i in c.items() {
-                buf.put_u32_le(i);
-            }
-        }
-    }
-    // HashMap iteration order is unspecified; sort for a canonical frame.
-    let mut pairs: Vec<(ItemId, u32)> = oracle.id_map().iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    buf.put_u32_le(pairs.len() as u32);
-    for (id, index) in pairs {
-        buf.put_u64_le(id);
-        buf.put_u32_le(index);
-    }
-    buf.put_u32_le(oracle.alias().len() as u32);
-    for &row in oracle.alias() {
-        buf.put_u32_le(row);
-    }
-}
-
-pub(crate) fn get_oracle(buf: &mut &[u8]) -> Oracle {
-    let store = match buf.get_u8() {
-        ORACLE_STORE_DENSE => {
-            let n_users = buf.get_u32_le() as usize;
-            let n_items = buf.get_u32_le() as usize;
-            let n_words = buf.get_u32_le() as usize;
-            let words = (0..n_words).map(|_| buf.get_u64_le()).collect();
-            LikeStore::Dense(LikeMatrix::from_words(n_users, n_items, words))
-        }
-        ORACLE_STORE_SPARSE => {
-            let n_users = buf.get_u32_le() as usize;
-            let n_items = buf.get_u32_le() as usize;
-            let nnz = buf.get_u32_le() as usize;
-            let mut offsets = Vec::with_capacity(n_users + 1);
-            offsets.push(0u32);
-            offsets.extend((0..n_users).map(|_| buf.get_u32_le()));
-            let items = (0..nnz).map(|_| buf.get_u32_le()).collect();
-            LikeStore::Sparse(CsrLikes::from_parts(n_items, offsets, items))
-        }
-        other => panic!("unknown like-store tag {other}"),
-    };
-    let n_pairs = buf.get_u32_le() as usize;
-    let id_to_index: crate::oracle::ItemIndexMap = (0..n_pairs)
-        .map(|_| {
-            let id = buf.get_u64_le();
-            let index = buf.get_u32_le();
-            (id, index)
-        })
-        .collect();
-    let n_alias = buf.get_u32_le() as usize;
-    let alias = (0..n_alias).map(|_| buf.get_u32_le()).collect();
-    Oracle::restore(store, id_to_index, alias)
-}
-
-/// Serializes everything a worker process needs to build its
-/// [`crate::engine::ShardState`].
-pub fn encode_init(init: &ShardInit) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_u32_le(init.index as u32);
-    let starts = init.partition.starts();
-    buf.put_u32_le(starts.len() as u32);
-    for &s in starts {
-        buf.put_u32_le(s);
-    }
-    buf.put_u64_le(init.seed);
-    put_loss_model(&mut buf, &init.loss);
-    put_churn_model(&mut buf, &init.churn);
-    put_params(&mut buf, &init.params);
-    put_oracle(&mut buf, &init.oracle);
-    buf.put_u32_le(init.bootstrap.len() as u32);
-    for contacts in &init.bootstrap {
-        buf.put_u32_le(contacts.len() as u32);
-        for &c in contacts {
-            buf.put_u32_le(c);
-        }
-    }
-    Vec::from(buf)
-}
-
-/// Inverse of [`encode_init`].
-pub fn decode_init(mut frame: &[u8]) -> ShardInit {
-    let buf = &mut frame;
-    let index = buf.get_u32_le() as usize;
-    let n_starts = buf.get_u32_le() as usize;
-    let starts = (0..n_starts).map(|_| buf.get_u32_le()).collect();
-    let partition = Partition::from_starts(starts);
-    let seed = buf.get_u64_le();
-    let loss = get_loss_model(buf);
-    let churn = get_churn_model(buf);
-    let params = get_params(buf);
-    let oracle = get_oracle(buf);
-    let n_nodes = buf.get_u32_le() as usize;
-    let bootstrap = (0..n_nodes)
-        .map(|_| {
-            let n = buf.get_u32_le() as usize;
-            (0..n).map(|_| buf.get_u32_le()).collect()
-        })
-        .collect();
-    ShardInit {
-        index,
-        partition,
-        seed,
-        loss,
-        churn,
-        params,
-        oracle,
-        bootstrap,
     }
 }
 
@@ -1106,7 +409,28 @@ fn thread_endpoint(shard: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::frames::*;
     use super::*;
+    use crate::scenario::{ChurnModel, LossModel};
+    use bytes::BytesMut;
+    use whatsup_core::{Descriptor, Metric, Params, Profile, ProfileEntry, SharedProfile};
+    use whatsup_net::codec::Reader;
+
+    fn snapshot(node: NodeId) -> ColdStart {
+        let profile = Profile::from_entries([ProfileEntry {
+            item: 7,
+            timestamp: 3,
+            score: 1.0,
+        }]);
+        ColdStart {
+            rps_view: vec![Descriptor {
+                node,
+                age: 2,
+                payload: SharedProfile::new(profile),
+            }],
+            wup_view: vec![],
+        }
+    }
 
     #[test]
     fn command_frames_roundtrip() {
@@ -1122,7 +446,7 @@ mod tests {
             Command::ChurnDecide { cycle: 9 },
             Command::TakeSnapshots { ids: vec![3, 5, 8] },
             Command::ApplyChurn {
-                resets: vec![(2, Bytes::copy_from_slice(b"xy"))],
+                resets: vec![(2, snapshot(5))],
             },
             Command::BeginNews,
             Command::Publish {
@@ -1136,7 +460,7 @@ mod tests {
             },
             Command::Admit {
                 reference: 4,
-                snapshot: Some(Bytes::copy_from_slice(b"view")),
+                snapshot: Some(snapshot(1)),
             },
             Command::Admit {
                 reference: 9,
@@ -1150,7 +474,7 @@ mod tests {
             Command::Stop,
         ];
         for cmd in cmds {
-            assert_eq!(decode_command(&encode_command(&cmd)), cmd);
+            assert_eq!(decode_command(&encode_command(&cmd)), Ok(cmd));
         }
     }
 
@@ -1166,7 +490,7 @@ mod tests {
                 ],
             }),
             Reply::ChurnDecisions(vec![(1, 9), (4, 2)]),
-            Reply::Snapshots(vec![Bytes::copy_from_slice(b"snap")]),
+            Reply::Snapshots(vec![snapshot(3), ColdStart::default()]),
             Reply::Ack,
             Reply::Published {
                 first_forward_hop: Some(3),
@@ -1203,7 +527,7 @@ mod tests {
             Reply::Checkpoint(Bytes::copy_from_slice(b"shard state frame")),
         ];
         for reply in replies {
-            assert_eq!(decode_reply(&encode_reply(&reply)), reply);
+            assert_eq!(decode_reply(&encode_reply(&reply)), Ok(reply));
         }
     }
 
@@ -1217,8 +541,7 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             put_params(&mut buf, &p);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_params(&mut slice), p);
+            assert_eq!(get_params(&mut Reader::new(&buf)), Ok(p));
         }
     }
 
@@ -1241,8 +564,7 @@ mod tests {
         for loss in losses {
             let mut buf = BytesMut::new();
             put_loss_model(&mut buf, &loss);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_loss_model(&mut slice), loss);
+            assert_eq!(get_loss_model(&mut Reader::new(&buf)), Ok(loss));
         }
         let churns = [
             ChurnModel::None,
@@ -1256,8 +578,7 @@ mod tests {
         for churn in churns {
             let mut buf = BytesMut::new();
             put_churn_model(&mut buf, &churn);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_churn_model(&mut slice), churn);
+            assert_eq!(get_churn_model(&mut Reader::new(&buf)), Ok(churn));
         }
     }
 }

@@ -2,8 +2,10 @@
 //! processes reachable over TCP. This is what lets shard workers live on
 //! other machines: on this transport, mail bundles cross as `whatsup-net`
 //! wire frames, encoded and decoded by the workers themselves
-//! ([`crate::engine::shard::handle_frame`]); the driver forwards them
-//! unopened.
+//! ([`super::stream::handle_frame`]); the driver forwards them unopened.
+//! The driver decodes each reply frame as it arrives: a worker that
+//! answers with bytes that do not decode fails the run with
+//! [`TransportErrorKind::Malformed`] naming its address.
 //!
 //! Workers come from one of two places, and the conversation is the same
 //! for both:
@@ -37,11 +39,11 @@
 //! every conversation, so a wedged worker surfaces as a timed-out
 //! (retryable) I/O error instead of blocking the driver forever.
 
-use super::stream::{drive_handshake, encode_handshake, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT};
+use super::frames::{decode_reply, encode_command, encode_handshake};
+use super::stream::{drive_handshake, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT};
 use super::supervisor::ShardLink;
 use super::{
-    decode_reply, encode_command, read_frame, write_frame, Command, Reply, ShardTransport,
-    TransportError, TransportErrorKind,
+    read_frame, write_frame, Command, Reply, ShardTransport, TransportError, TransportErrorKind,
 };
 use crate::engine::shard::ShardInit;
 use std::io::{self, BufRead, BufReader, BufWriter};
@@ -458,7 +460,10 @@ impl ShardTransport for SocketTransport {
         }
         targets
             .into_iter()
-            .map(|s| Ok(decode_reply(&ShardLink::recv(self, s)?)))
+            .map(|s| {
+                let frame = ShardLink::recv(self, s)?;
+                decode_reply(&frame).map_err(|e| TransportError::malformed(&*self.endpoints[s], e))
+            })
             .collect()
     }
 }

@@ -1,6 +1,7 @@
 //! Byte-stream plumbing of the framed transport: length-prefixed framing
 //! over generic [`Read`]/[`Write`], the versioned bootstrap handshake, and
-//! the worker serve loop.
+//! the worker serve loop with its frame dispatch ([`handle_frame`]) — the
+//! one place a worker turns bytes into typed values and back.
 //!
 //! # Bootstrap handshake
 //!
@@ -11,32 +12,24 @@
 //! 1. **worker → driver** *hello*: `magic:u32 version:u16` — sent as soon
 //!    as the worker accepts the connection.
 //! 2. **driver → worker** *handshake*: `magic:u32 version:u16` followed by
-//!    the [`ShardInit`] payload ([`super::encode_init`]).
+//!    the [`ShardInit`](crate::engine::shard::ShardInit) payload
+//!    ([`frames::encode_handshake`]).
 //! 3. Command/reply frames until a `Stop` command ends the conversation.
 //!
 //! Each side validates the other's magic and version *before* touching the
 //! payload, so mixed-version deployments fail with a one-line typed error
-//! instead of a frame-decode panic. Bumping [`PROTOCOL_VERSION`] whenever
-//! a frame layout changes is what keeps that promise.
+//! (bump [`frames::PROTOCOL_VERSION`] whenever a frame layout changes).
+//! Past the gate, a frame that does not decode is a typed error too:
+//! [`WorkerError::Malformed`] on the worker, never a panic.
 
-use super::{decode_init, encode_init, TransportError, TransportErrorKind};
-use crate::engine::shard::{ShardInit, ShardState};
-use bytes::{Buf, BufMut, BytesMut};
+use super::frames::{self, encode_hello, PROTOCOL_VERSION};
+use super::{Bundle, Command, Reply, TransportError, TransportErrorKind};
+use crate::engine::shard::ShardState;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
-
-/// `"WUPS"` — first bytes of every hello/handshake frame.
-pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
-
-/// Version of the whole exchange protocol (frames, commands, replies).
-/// Peers refuse to talk across versions. v2 added the checkpoint/restore
-/// command pair (worker supervision); v3 removed the end-of-cycle
-/// `TakeCycleCounters`/`CycleCounters` frames (counters are now folded
-/// driver-side from the phase replies) and the counter residue from
-/// checkpoint frames; v4 added the like-store tag to oracle frames
-/// (dense bit-plane or compressed sparse rows).
-pub const PROTOCOL_VERSION: u16 = 4;
+use whatsup_core::{ItemId, NewsItem};
+use whatsup_net::codec::{self, DecodeError};
 
 /// How long the driver waits for a TCP connect to a worker.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -58,7 +51,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 28;
 
 /// Writes one `len:u32` + payload frame and flushes.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(frame.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(frame)?;
     w.flush()
 }
@@ -66,26 +61,26 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary. EOF
 /// inside a frame (a truncated write from a dying peer) is an
 /// [`io::ErrorKind::UnexpectedEof`] error, an oversized length prefix an
-/// [`io::ErrorKind::InvalidData`] error.
+/// [`io::ErrorKind::InvalidData`] error. The payload buffer grows with the
+/// bytes that actually arrive, so a forged length prefix cannot make the
+/// reader reserve memory up front.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                ))
-            }
-            Ok(n) => filled += n,
-            // Retry EINTR like read_exact does below: a signal landing on
-            // a header byte must not abort a healthy run.
+    let (first, rest) = header.split_at_mut(1);
+    loop {
+        match r.read(first) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            // Retry EINTR like read_exact does: a signal landing on a
+            // header byte must not abort a healthy run.
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
+    r.read_exact(rest).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => io::Error::new(e.kind(), "eof inside frame header"),
+        _ => e,
+    })?;
     let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -93,73 +88,28 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"),
         ));
     }
-    let mut frame = vec![0u8; len];
-    r.read_exact(&mut frame).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside frame payload")
-        } else {
-            e
-        }
-    })?;
+    let mut frame = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        ));
+    }
     Ok(Some(frame))
 }
 
 // ---------------------------------------------------------------------------
-// Handshake frames
+// Handshake
 // ---------------------------------------------------------------------------
-
-/// The worker's greeting: magic + the version it speaks. Takes the version
-/// as a parameter so fault-injection tests can impersonate a mismatched
-/// worker; real workers always send [`PROTOCOL_VERSION`].
-pub fn encode_hello(version: u16) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(6);
-    buf.put_u32_le(HANDSHAKE_MAGIC);
-    buf.put_u16_le(version);
-    Vec::from(buf)
-}
-
-/// Parses a hello frame into the peer's version; `Err` when the frame is
-/// not a shard-worker greeting at all.
-pub fn decode_hello(frame: &[u8]) -> Result<u16, TransportErrorKind> {
-    let mut buf = frame;
-    if buf.len() != 6 || buf.get_u32_le() != HANDSHAKE_MAGIC {
-        return Err(TransportErrorKind::HandshakeMagic);
-    }
-    Ok(buf.get_u16_le())
-}
-
-/// The driver's reply to a hello: magic + version + the shard's init.
-pub fn encode_handshake(init: &ShardInit) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_u32_le(HANDSHAKE_MAGIC);
-    buf.put_u16_le(PROTOCOL_VERSION);
-    buf.put_slice(&encode_init(init));
-    Vec::from(buf)
-}
-
-/// Validates magic + version, then decodes the carried [`ShardInit`].
-pub fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
-    let mut buf = frame;
-    if buf.len() < 6 || buf.get_u32_le() != HANDSHAKE_MAGIC {
-        return Err(TransportErrorKind::HandshakeMagic);
-    }
-    let got = buf.get_u16_le();
-    if got != PROTOCOL_VERSION {
-        return Err(TransportErrorKind::HandshakeVersion {
-            got,
-            want: PROTOCOL_VERSION,
-        });
-    }
-    Ok(decode_init(buf))
-}
 
 /// Driver side of the bootstrap over an established stream: read and
 /// validate the worker's hello (bounded by the caller's read timeout), then
-/// send the versioned `handshake` frame ([`encode_handshake`]). `endpoint`
-/// names the worker in errors. The init never changes over a transport's
-/// lifetime, so the transport encodes it once at bootstrap and replays the
-/// same bytes on every restart instead of re-serializing the full shard
-/// init (which for large shards dominates recovery time).
+/// send the versioned `handshake` frame ([`frames::encode_handshake`]).
+/// `endpoint` names the worker in errors. The init never changes over a
+/// transport's lifetime, so the transport encodes it once at bootstrap and
+/// replays the same bytes on every restart instead of re-serializing the
+/// full shard init (which for large shards dominates recovery time).
 pub fn drive_handshake(
     endpoint: &str,
     input: &mut impl Read,
@@ -169,7 +119,7 @@ pub fn drive_handshake(
     let frame = read_frame(input)
         .map_err(|e| TransportError::io(endpoint, e))?
         .ok_or_else(|| TransportError::closed(endpoint, "worker closed before its hello"))?;
-    let kind = match decode_hello(&frame) {
+    let kind = match frames::decode_hello(&frame) {
         Ok(PROTOCOL_VERSION) => None,
         Ok(got) => Some(TransportErrorKind::HandshakeVersion {
             got,
@@ -195,6 +145,9 @@ pub fn drive_handshake(
 pub enum WorkerError {
     /// The driver's handshake was missing, foreign, or version-mismatched.
     Handshake(TransportErrorKind),
+    /// A frame from the driver — the handshake's init or a command — does
+    /// not decode.
+    Malformed(DecodeError),
     /// The driver vanished mid-conversation: EOF or I/O error before
     /// `Stop`. A driver killed mid-run lands here.
     ConnectionLost(io::Error),
@@ -212,6 +165,7 @@ impl fmt::Display for WorkerError {
                 write!(f, "handshake failed: peer is not a whatsup-sim driver")
             }
             WorkerError::Handshake(other) => write!(f, "handshake failed: {other:?}"),
+            WorkerError::Malformed(e) => write!(f, "malformed frame: {e}"),
             WorkerError::ConnectionLost(e) => write!(f, "driver connection lost: {e}"),
         }
     }
@@ -236,18 +190,21 @@ pub fn accept_handshake(
                 "driver closed the stream before the handshake",
             ))
         })?;
-    let init = decode_handshake(&frame).map_err(WorkerError::Handshake)?;
-    Ok(ShardState::from_init(init))
+    match frames::decode_handshake(&frame) {
+        Ok(init) => Ok(ShardState::from_init(init)),
+        Err(TransportErrorKind::Malformed(e)) => Err(WorkerError::Malformed(e)),
+        Err(kind) => Err(WorkerError::Handshake(kind)),
+    }
 }
 
 /// The post-handshake serve loop: one reply frame per command frame, until
-/// `Stop` (`Ok`) or the stream dies (`Err`). A driver that merely closes
-/// the stream (killed mid-run) is a [`WorkerError::ConnectionLost`], so the
-/// worker process can exit non-zero with a one-line message instead of a
-/// panic backtrace. Command dispatch is
-/// [`crate::engine::shard::handle_frame`], which converts wire mail at the
-/// boundary and runs the same [`ShardState::handle`] the channel-thread
-/// workers run, so the transports cannot diverge on command semantics.
+/// `Stop` (`Ok`) or the stream dies or sends a malformed frame (`Err`). A
+/// driver that merely closes the stream (killed mid-run) is a
+/// [`WorkerError::ConnectionLost`], so the worker process can exit
+/// non-zero with a one-line message instead of a panic backtrace. Command
+/// dispatch is [`handle_frame`], which runs the same [`ShardState::handle`]
+/// the channel-thread workers run, so the transports cannot diverge on
+/// command semantics.
 pub fn serve_stream(
     state: &mut ShardState,
     input: &mut impl Read,
@@ -262,16 +219,99 @@ pub fn serve_stream(
                     "driver closed the stream without sending Stop",
                 ))
             })?;
-        match crate::engine::shard::handle_frame(state, &frame) {
+        match handle_frame(state, &frame).map_err(WorkerError::Malformed)? {
             Some(reply) => write_frame(output, &reply).map_err(WorkerError::ConnectionLost)?,
             None => return Ok(()),
         }
     }
 }
 
+/// Executes one command frame against the shard: `Ok(None)` when the frame
+/// is a `Stop`, otherwise the encoded reply frame. The byte-stream dispatch
+/// point, and the one place a worker changes values' form: the command is
+/// decoded, inbound [`Bundle::Wire`] frames become typed mail before
+/// [`ShardState::handle`] (registering fresh news content in the shard's
+/// item store, like a real receiver), a `Restore` checkpoint is decoded and
+/// applied here, and the reply's typed outbound mail is wire-encoded after
+/// `handle` (resolving news content from that store). Any frame that does
+/// not decode is a typed error and leaves the shard untouched by it.
+pub fn handle_frame(state: &mut ShardState, frame: &[u8]) -> Result<Option<Vec<u8>>, DecodeError> {
+    let mut cmd = frames::decode_command(frame)?;
+    match &mut cmd {
+        Command::Stop => return Ok(None),
+        Command::Restore { frame } => {
+            state.restore(frames::decode_checkpoint(frame, state.index())?);
+            return Ok(Some(frames::encode_reply(&Reply::Ack)));
+        }
+        Command::DeliverGossip { bundles, .. } | Command::DeliverNews { bundles, .. } => {
+            for bundle in bundles.iter_mut() {
+                decode_wire_bundle(bundle, &mut |item| {
+                    state.known_items.insert(item.id(), item);
+                })?;
+            }
+        }
+        _ => {}
+    }
+    let mut reply = state.handle(cmd);
+    let from_shard = codec::wire_count_u32(state.index(), "shard index");
+    if let Some(out) = reply.outbound_mut() {
+        for bundle in &mut out.bundles {
+            encode_mail_bundle(bundle, from_shard, |id| state.known_items.get(&id).cloned());
+        }
+    }
+    Ok(Some(frames::encode_reply(&reply)))
+}
+
+/// Replaces a non-empty [`Bundle::Wire`] with the typed mail it carries
+/// (an empty one becomes empty mail). Each inner frame is decoded as a
+/// borrowed view over the frame and converted straight into its payload;
+/// each *distinct* news content is passed to `register` once per
+/// repetition run, and consecutive entries with identical content or
+/// profile bytes decode through a [`codec::NewsDecodeCache`], which turns a
+/// fan-out's repeated copies into `Arc` clones of one parse.
+pub(crate) fn decode_wire_bundle(
+    bundle: &mut Bundle,
+    register: &mut impl FnMut(NewsItem),
+) -> Result<(), DecodeError> {
+    let Bundle::Wire(frame) = bundle else {
+        return Ok(());
+    };
+    let mut mail = Vec::new();
+    if !frame.is_empty() {
+        let mut cache = codec::NewsDecodeCache::default();
+        for entry in codec::bundle_view(frame)? {
+            let (to, inner) = entry?;
+            let (from, payload, fresh_item) = codec::decode_bundle_entry(inner, &mut cache)?;
+            if let Some(item) = fresh_item {
+                register(item);
+            }
+            mail.push((to, from, payload));
+        }
+    }
+    *bundle = Bundle::Mail(mail);
+    Ok(())
+}
+
+/// Replaces non-empty [`Bundle::Mail`] from shard `from_shard` with its
+/// wire frame. News travels as content on the wire (receivers recompute
+/// ids), resolved through `resolve`.
+pub(crate) fn encode_mail_bundle(
+    bundle: &mut Bundle,
+    from_shard: u32,
+    resolve: impl Fn(ItemId) -> Option<NewsItem>,
+) {
+    if let Bundle::Mail(mail) = bundle {
+        if !mail.is_empty() {
+            *bundle = Bundle::Wire(codec::encode_bundle(from_shard, mail, resolve));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::frames::{decode_handshake, decode_hello, HANDSHAKE_MAGIC};
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn framing_roundtrip_and_clean_eof() {

@@ -33,10 +33,12 @@
 //! A crash *during* recovery simply burns another restart from the same
 //! budget and tries again; exhaustion surfaces the original error.
 
-use super::{decode_reply, encode_command, Command, Reply, ShardTransport, TransportError};
+use super::frames::{decode_reply, encode_command};
+use super::{Command, Reply, ShardTransport, TransportError};
 use bytes::Bytes;
 use std::time::Duration;
 use whatsup_core::fnv1a64;
+use whatsup_net::codec::DecodeError;
 
 /// Supervision knobs. The two first-class ones (restart budget, checkpoint
 /// cadence) are what [`crate::Runner::supervised`] and the CLI expose;
@@ -212,6 +214,12 @@ impl<L: ShardLink> SupervisedTransport<L> {
         }
     }
 
+    /// Decodes a reply frame from `shard`; a malformed one fails the round
+    /// without a restart (a deterministic replay would resend it).
+    fn decode(&self, shard: usize, frame: &[u8]) -> Result<Reply, TransportError> {
+        decode_reply(frame).map_err(|e| TransportError::malformed(self.link.endpoint(shard), e))
+    }
+
     /// One recovery attempt: restart, restore the last checkpoint, replay
     /// the command log (replies discarded — determinism makes them
     /// byte-identical to the ones already consumed), re-issue the
@@ -222,7 +230,7 @@ impl<L: ShardLink> SupervisedTransport<L> {
             let restore = encode_command(&Command::Restore { frame: cp.clone() });
             self.link.send(shard, &restore)?;
             let reply = self.link.recv(shard)?;
-            debug_assert!(matches!(decode_reply(&reply), Reply::Ack));
+            debug_assert!(matches!(decode_reply(&reply), Ok(Reply::Ack)));
         }
         for logged in &self.logs[shard] {
             self.link.send(shard, logged)?;
@@ -263,7 +271,7 @@ impl<L: ShardLink> ShardTransport for SupervisedTransport<L> {
                 },
             };
             self.logs[*s].push(frame.clone());
-            replies.push(decode_reply(&reply_frame));
+            replies.push(self.decode(*s, &reply_frame)?);
         }
         Ok(replies)
     }
@@ -291,8 +299,11 @@ impl<L: ShardLink> ShardTransport for SupervisedTransport<L> {
                     Err(e) => self.recover_and_reissue(s, &frame, e)?,
                 },
             };
-            let Reply::Checkpoint(cp) = decode_reply(&reply_frame) else {
-                panic!("expected a checkpoint reply");
+            let Reply::Checkpoint(cp) = self.decode(s, &reply_frame)? else {
+                return Err(TransportError::malformed(
+                    self.link.endpoint(s),
+                    DecodeError::Invalid("expected a checkpoint reply"),
+                ));
             };
             self.checkpoints[s] = Some(cp);
             self.logs[s].clear();
@@ -304,7 +315,8 @@ impl<L: ShardLink> ShardTransport for SupervisedTransport<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exchange::{decode_command, encode_reply, Outbound, TransportErrorKind};
+    use crate::engine::exchange::frames::{decode_command, encode_reply};
+    use crate::engine::exchange::{Outbound, TransportErrorKind};
     use std::collections::VecDeque;
 
     /// A scripted in-memory worker pool: each "worker" is a counter that
@@ -362,7 +374,7 @@ mod tests {
         }
 
         fn send(&mut self, shard: usize, frame: &[u8]) -> Result<(), TransportError> {
-            let reply = match decode_command(frame) {
+            let reply = match decode_command(frame).expect("mock command frame") {
                 Command::BeginNews => {
                     self.counters[shard] += 1;
                     Reply::Ack

@@ -34,8 +34,8 @@
 //!    touches the codec. Only a byte stream needs bytes: there the bundle
 //!    is the `whatsup-net` wire codec's bundle frame (addressed
 //!    single-message frames), encoded and decoded at the worker's frame
-//!    dispatch ([`shard::handle_frame`]) and forwarded unopened by the
-//!    driver. Messages that stay on their own shard wait in the shard's
+//!    dispatch ([`exchange::stream::handle_frame`]) and forwarded unopened
+//!    by the driver. Messages that stay on their own shard wait in the shard's
 //!    local pending queue.
 //! 3. **Deliver** — each shard merges the inbound bundles *in source-shard
 //!    order* (its own pending queue takes its shard's slot) into per-node
@@ -91,11 +91,15 @@
 //!   length-prefixed; see [`exchange::stream`]): on accept the worker
 //!   sends a *hello* `magic:u32 = "WUPS", version:u16`; the driver
 //!   validates both and answers with a *handshake*
-//!   `magic:u32, version:u16, ShardInit payload` ([`exchange::encode_init`]
-//!   — params, partition, environment models, oracle, bootstrap
-//!   contacts). Version skew or a foreign peer is a typed error naming the
-//!   address on the driver, a one-line stderr exit on the worker — never
-//!   a frame-decode panic.
+//!   `magic:u32, version:u16, ShardInit payload`
+//!   ([`exchange::frames::encode_handshake`] — params, partition,
+//!   environment models, oracle, bootstrap contacts). Every frame layout
+//!   lives in [`exchange::frames`], and every decoder reads through the
+//!   `whatsup-net` codec's fallible `Reader`. Version skew, a foreign
+//!   peer, or a frame that does not decode (truncated, corrupted, a forged
+//!   count, an unknown opcode) is a typed error naming the address on the
+//!   driver and a one-line stderr exit on the worker — never a
+//!   frame-decode panic or an allocation the frame does not back.
 //! * **Failure paths** — connect and handshake are bounded by timeouts,
 //!   so a dead or unreachable worker fails the run cleanly instead of
 //!   hanging it. Mid-run, a worker that loses its driver (EOF/broken pipe
@@ -121,14 +125,16 @@
 //! * **Checkpoints** — every `checkpoint_every` completed cycles the
 //!   supervisor sends each shard a `TakeCheckpoint` command at the cycle
 //!   boundary (mailboxes are provably drained there, so no in-flight mail
-//!   is ever serialized). The `Checkpoint` reply is one wire frame
-//!   holding the shard's full state via the standard codec: the partition
-//!   node range, engine params, environment models, per-node channel
-//!   states, known items sorted by id, the oracle copy, then per-node
-//!   profile / RPS view / WUP view / seen-set / stats blocks (per-cycle
-//!   counters live in the driver, so there is no counter residue to
-//!   capture). A `Restore` command feeds the same frame back into a
-//!   fresh worker and is acknowledged with `Ack`.
+//!   is ever serialized). The `Checkpoint` reply is one frame
+//!   ([`exchange::frames::Checkpoint`]) holding the shard's dynamic state
+//!   via the standard codec: the partition, per-node channel states, known
+//!   items sorted by id, the oracle copy, then per-node profile / RPS
+//!   view / WUP view / seen-set / stats blocks (static state comes from
+//!   the handshake; per-cycle counters live in the driver, so there is no
+//!   counter residue to capture). A `Restore` command feeds the same frame
+//!   back into a fresh worker, whose frame dispatch decodes and checks it
+//!   against the shard's range before applying it, and is acknowledged
+//!   with `Ack`. The driver keeps checkpoints as opaque bytes.
 //! * **Command log + replay** — every command frame sent since the last
 //!   checkpoint is logged (after its reply arrives) and cleared when a
 //!   checkpoint succeeds. On a retryable failure the supervisor restarts
@@ -144,8 +150,9 @@
 //!   [`exchange::ShardTransport`] trait never notices. The restart budget
 //!   (`max_restarts` per shard) bounds the loop; when it is exhausted the
 //!   *original* error surfaces, not the last recovery attempt's. Fatal
-//!   errors (handshake magic/version skew —
-//!   [`exchange::TransportErrorKind::is_retryable`]) are never retried.
+//!   errors (handshake magic/version skew, a malformed frame —
+//!   [`exchange::TransportErrorKind::is_retryable`]) are never retried:
+//!   a replay would reproduce them.
 //! * **Hang detection** — the transport arms read/write deadlines on
 //!   every stream, spawned or dialed, so a frozen worker trips a timeout
 //!   (a retryable I/O error) instead of hanging the run. Initial dials
@@ -159,9 +166,12 @@
 //! # Shard-exchange protocol
 //!
 //! On a byte stream a bundle is one wire frame; in-process it is the typed
-//! mail that frame decodes to, and [`shard::handle_frame`] is the only
-//! place that converts between the two (a unit test pins typed and wire
-//! delivery to equal replies, payloads and registered news content).
+//! mail that frame decodes to, and [`exchange::stream::handle_frame`] is
+//! the only place that converts between the two (a unit test pins typed
+//! and wire delivery to equal replies, payloads and registered news
+//! content). View snapshots likewise stay typed
+//! ([`whatsup_core::ColdStart`]) in process and are framed only by the
+//! byte-stream transport.
 //! Wire layout (see `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`,
 //! `from_shard:u32`, `count:u32`, then `count` entries of
 //! `to:u32 len:u32 frame`, where `frame` is the standard single-message
@@ -243,7 +253,9 @@
 //!   dispatch decodes inbound wire bundles with `codec::bundle_view`, an
 //!   iterator of borrowed `(to, frame)` slices over the received buffer
 //!   (no per-entry frame copies), and encodes the reply's outbound mail
-//!   once, straight from the typed bundles.
+//!   once, straight from the typed bundles. Churn snapshots travel the
+//!   same way: typed `ColdStart` values between threads, frames only on a
+//!   byte stream.
 //! * **Staging reuse** — outbound routing drains the per-shard
 //!   `emit_scratch` rather than dropping it, so its capacity carries
 //!   cycle-over-cycle; the per-destination bundles it fills are consumed

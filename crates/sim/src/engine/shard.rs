@@ -7,24 +7,21 @@
 //! which is exactly what keeps the execution identical across shard counts
 //! and transports (see the module docs of [`crate::engine`]).
 
-use crate::engine::exchange::{
-    self, Bundle, Command, FirstReception, NewsOutcome, Outbound, Reply,
-};
+use crate::engine::exchange::frames::{self, Checkpoint};
+use crate::engine::exchange::{Bundle, Command, FirstReception, NewsOutcome, Outbound, Reply};
 use crate::engine::mailbox::{MailEntry, Mailbox};
 use crate::engine::partition::Partition;
 use crate::engine::{node_stream, phase};
 use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 // lint:allow(det-map) import for the probe-only item store annotated below
 use std::collections::HashMap;
 use whatsup_core::{
-    ColdStart, ItemId, NewsItem, NodeId, NodeState, NodeStats, Opinions, OutMessage, Params,
-    Payload, Profile, SharedProfile, WhatsUpNode,
+    ColdStart, ItemId, NewsItem, NodeId, NodeStats, Opinions, OutMessage, Params, Payload, Profile,
+    SharedProfile, WhatsUpNode,
 };
-use whatsup_net::codec;
 
 /// Fixed-item opinion view for the news phase: one publication round
 /// delivers exactly one item, so the oracle's id→index map is probed once
@@ -47,9 +44,10 @@ impl Opinions for ItemOpinions<'_> {
 }
 
 /// Everything needed to build one shard's state — produced by the driver,
-/// consumed directly (in-process) or via `exchange::encode_init` (worker
-/// processes). Both paths construct through [`ShardState::from_init`], so
-/// the transports cannot diverge at bootstrap.
+/// consumed directly (in-process) or via the handshake frame
+/// ([`frames::encode_handshake`], worker processes). Both paths construct
+/// through [`ShardState::from_init`], so the transports cannot diverge at
+/// bootstrap.
 #[derive(Debug, Clone)]
 pub struct ShardInit {
     pub index: usize,
@@ -93,9 +91,10 @@ pub struct ShardState {
     pending_local: Vec<MailEntry>,
     /// News content this shard can re-encode (learned from publishes and
     /// inbound news frames, like a real receiver). Only the byte-stream
-    /// boundary ([`handle_frame`]) reads it; in-process mail never encodes.
+    /// boundary ([`crate::engine::exchange::stream::handle_frame`]) reads
+    /// it; in-process mail never encodes.
     // lint:allow(det-map) BuildIdHasher keys, probed by id only; checkpoint encode sorts entries
-    known_items: HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
+    pub(crate) known_items: HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
     /// Route-phase staging, reused round-over-round (capacity kept): the
     /// emissions of the current phase loop, which [`Self::route_out`]
     /// groups by destination shard.
@@ -245,17 +244,17 @@ impl ShardState {
     /// oracle copies; the owning (last) shard additionally receives the
     /// rejoin view `snapshot` and builds the node from it (§II-D cold
     /// start).
-    pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) {
+    pub fn admit(&mut self, reference: NodeId, snapshot: Option<ColdStart>) {
         self.oracle.add_clone_of(reference);
         let id = self.partition.push_node();
-        if let Some(frame) = snapshot {
+        if let Some(snapshot) = snapshot {
             assert_eq!(
                 self.index + 1,
                 self.partition.n_shards(),
                 "joiners belong to the last shard"
             );
             let mut node = WhatsUpNode::new(id, self.params.clone());
-            node.cold_start(exchange::decode_cold_start(frame), &self.oracle);
+            node.cold_start(snapshot, &self.oracle);
             self.nodes.push(node);
             self.node_stats.push(NodeStats::default());
             self.phase_rngs.push(None);
@@ -273,20 +272,18 @@ impl ShardState {
                 Reply::Outbound(self.deliver_gossip(cycle, bundles))
             }
             Command::ChurnDecide { cycle } => Reply::ChurnDecisions(self.churn_decide(cycle)),
-            Command::TakeSnapshots { ids } => Reply::Snapshots(
-                ids.iter()
-                    .map(|&id| exchange::encode_cold_start(&self.snapshot_of(id)))
-                    .collect(),
-            ),
+            Command::TakeSnapshots { ids } => {
+                Reply::Snapshots(ids.iter().map(|&id| self.snapshot_of(id)).collect())
+            }
             Command::ApplyChurn { resets } => {
-                self.apply_churn(&resets);
+                self.apply_churn(resets);
                 Reply::Ack
             }
             Command::Admit {
                 reference,
                 snapshot,
             } => {
-                self.admit(reference, snapshot.as_deref());
+                self.admit(reference, snapshot);
                 Reply::Ack
             }
             Command::SwapInterests { a, b } => {
@@ -309,125 +306,65 @@ impl ShardState {
                 item,
                 bundles,
             } => self.deliver_news(cycle, item, bundles),
-            Command::TakeCheckpoint => Reply::Checkpoint(self.encode_checkpoint()),
-            Command::Restore { frame } => {
-                self.restore_checkpoint(&frame);
-                Reply::Ack
+            Command::TakeCheckpoint => {
+                Reply::Checkpoint(frames::encode_checkpoint(&self.checkpoint()))
             }
+            // Only byte-stream workers checkpoint, and their dispatch
+            // decodes and applies the frame before a command reaches here.
+            Command::Restore { .. } => panic!("checkpoint frame reached the shard undecoded"),
             Command::Stop => Reply::Ack,
         }
     }
 
-    /// Serializes this shard's full dynamic state as one checkpoint frame.
-    ///
-    /// Layout (all little-endian, wire-codec encodings for the node data):
-    /// partition starts, per-node channel states, the known news items
-    /// (ascending item id, canonical), the oracle copy, then one
-    /// [`NodeState`] per owned node in id order (profile entries, RPS view,
-    /// WUP view, seen ids ascending, stats). Per-cycle measurement counters
-    /// live in the driver (folded from the phase replies), so checkpoints
-    /// carry no counter residue.
-    ///
-    /// Static state (`index`, `seed`, loss/churn models, params) is *not*
-    /// serialized: a restoring worker already received it via the bootstrap
-    /// handshake's [`ShardInit`]. Phase RNGs are derived per
-    /// `(cycle, phase)` and the restart replays from a cycle boundary, so
-    /// no RNG state needs capturing either.
+    /// This shard's full dynamic state, for a checkpoint frame (layout in
+    /// [`frames`]). Static state (`index`, `seed`, loss/churn models,
+    /// params) is left out: a restoring worker already received it in its
+    /// handshake. Phase RNGs are derived per `(cycle, phase)` and the
+    /// restart replays from a cycle boundary, so no RNG state is captured.
     ///
     /// # Panics
     /// Panics if any mail is in flight — checkpoints are only meaningful at
     /// cycle boundaries, where every mailbox is provably drained.
-    pub fn encode_checkpoint(&self) -> Bytes {
+    pub fn checkpoint(&self) -> Checkpoint {
         assert!(
             self.mailbox.is_empty() && self.pending_local.is_empty(),
             "checkpoint requires an empty mailbox (cycle boundary)"
         );
-        let mut buf = BytesMut::with_capacity(4096);
-        let starts = self.partition.starts();
-        buf.put_u32_le(starts.len() as u32);
-        for &s in starts {
-            buf.put_u32_le(s);
-        }
-        buf.put_u32_le(self.channel_bad.len() as u32);
-        for &bad in &self.channel_bad {
-            buf.put_u8(u8::from(bad));
-        }
         // HashMap iteration order is unspecified; sort for a canonical
         // frame (identical shards must checkpoint to identical bytes).
-        let mut items: Vec<&NewsItem> = self.known_items.values().collect();
-        items.sort_unstable_by_key(|item| item.id());
-        buf.put_u32_le(items.len() as u32);
-        for item in items {
-            exchange::put_news_item(&mut buf, item);
+        let mut known_items: Vec<NewsItem> = self.known_items.values().cloned().collect();
+        known_items.sort_unstable_by_key(NewsItem::id);
+        Checkpoint {
+            partition: self.partition.clone(),
+            channel_bad: self.channel_bad.clone(),
+            known_items,
+            oracle: self.oracle.clone(),
+            nodes: self
+                .nodes
+                .iter()
+                .zip(&self.node_stats)
+                .map(|(node, stats)| (node.export_state(), *stats))
+                .collect(),
         }
-        exchange::put_oracle(&mut buf, &self.oracle);
-        buf.put_u32_le(self.nodes.len() as u32);
-        for (node, stats) in self.nodes.iter().zip(&self.node_stats) {
-            let st = node.export_state();
-            codec::put_profile(&mut buf, &Profile::from_vec(st.profile));
-            codec::put_descriptors(&mut buf, &st.rps_view);
-            codec::put_descriptors(&mut buf, &st.wup_view);
-            buf.put_u32_le(st.seen.len() as u32);
-            for item in &st.seen {
-                buf.put_u64_le(*item);
-            }
-            put_node_stats(&mut buf, stats);
-        }
-        buf.freeze()
     }
 
-    /// Replaces this shard's dynamic state with a checkpoint frame
-    /// (recovery path — the shard was just rebuilt from its original init).
-    /// Transient state is reset: mailboxes empty (guaranteed at the
-    /// checkpointed boundary), phase RNGs re-derived on first use.
-    pub fn restore_checkpoint(&mut self, mut frame: &[u8]) {
-        let buf = &mut frame;
-        let n_starts = buf.get_u32_le() as usize;
-        let starts = (0..n_starts).map(|_| buf.get_u32_le()).collect();
-        self.partition = Partition::from_starts(starts);
-        let n_channels = buf.get_u32_le() as usize;
-        self.channel_bad = (0..n_channels).map(|_| buf.get_u8() != 0).collect();
-        let n_items = buf.get_u32_le() as usize;
-        self.known_items = (0..n_items)
-            .map(|_| {
-                let item = exchange::get_news_item(buf);
-                (item.id(), item)
-            })
-            .collect();
-        self.oracle = exchange::get_oracle(buf);
+    /// Replaces this shard's dynamic state with a decoded checkpoint
+    /// (recovery path; [`frames::decode_checkpoint`] checked it against
+    /// this shard's range). Mailboxes start empty and phase RNGs re-derive
+    /// on first use.
+    pub fn restore(&mut self, cp: Checkpoint) {
+        self.partition = cp.partition;
+        self.channel_bad = cp.channel_bad;
+        self.known_items = cp.known_items.into_iter().map(|i| (i.id(), i)).collect();
+        self.oracle = cp.oracle;
         let range = self.partition.range(self.index);
-        let n_nodes = buf.get_u32_le() as usize;
-        assert_eq!(range.len(), n_nodes, "checkpoint/partition node mismatch");
-        assert_eq!(n_channels, n_nodes, "checkpoint channel-state mismatch");
-        let mut node_stats = Vec::with_capacity(n_nodes);
-        self.nodes = range
-            .zip(0..n_nodes)
-            .map(|(id, _)| {
-                let profile = codec::get_profile(buf)
-                    .expect("malformed checkpoint profile")
-                    .entries()
-                    .to_vec();
-                let rps_view = codec::get_descriptors(buf).expect("malformed checkpoint view");
-                let wup_view = codec::get_descriptors(buf).expect("malformed checkpoint view");
-                let n_seen = buf.get_u32_le() as usize;
-                let seen = (0..n_seen).map(|_| buf.get_u64_le()).collect();
-                let node = WhatsUpNode::from_state(
-                    id,
-                    self.params.clone(),
-                    NodeState {
-                        profile,
-                        rps_view,
-                        wup_view,
-                        seen,
-                    },
-                );
-                node_stats.push(get_node_stats(buf));
-                node
-            })
+        self.node_stats = cp.nodes.iter().map(|(_, stats)| *stats).collect();
+        let params = &self.params;
+        self.nodes = (range.clone().zip(cp.nodes))
+            .map(|(id, (state, _))| WhatsUpNode::from_state(id, params.clone(), state))
             .collect();
-        self.node_stats = node_stats;
-        self.phase_rngs = vec![None; n_nodes];
-        self.mailbox = Mailbox::new(self.partition.range(self.index));
+        self.phase_rngs = vec![None; self.nodes.len()];
+        self.mailbox = Mailbox::new(range);
         self.pending_local = Vec::new();
     }
 
@@ -470,7 +407,8 @@ impl ShardState {
     ///
     /// # Panics
     /// Panics on a non-empty [`Bundle::Wire`]: byte-stream mail is decoded
-    /// by [`handle_frame`] before the command reaches the shard.
+    /// by [`crate::engine::exchange::stream::handle_frame`] before the
+    /// command reaches the shard.
     fn merge_inbound(&mut self, bundles: Vec<Bundle>) {
         debug_assert_eq!(bundles.len(), self.partition.n_shards());
         for (src, bundle) in bundles.into_iter().enumerate() {
@@ -635,12 +573,11 @@ impl ShardState {
     /// Applies churn resets: each crashed node rejoins as a fresh instance
     /// cold-started from its contact's (pre-churn) view snapshot. Snapshot
     /// state makes the application order irrelevant.
-    fn apply_churn(&mut self, resets: &[(NodeId, Bytes)]) {
-        for (id, frame) in resets {
-            let snapshot = exchange::decode_cold_start(frame);
-            let mut fresh = WhatsUpNode::new(*id, self.params.clone());
+    fn apply_churn(&mut self, resets: Vec<(NodeId, ColdStart)>) {
+        for (id, snapshot) in resets {
+            let mut fresh = WhatsUpNode::new(id, self.params.clone());
             fresh.cold_start(snapshot, &self.oracle);
-            let local = self.local(*id);
+            let local = self.local(id);
             self.nodes[local] = fresh;
             // A rejoining node is a fresh instance: its counters restart
             // with it, exactly as when they lived inside the node.
@@ -745,30 +682,6 @@ impl ShardState {
     }
 }
 
-/// Wire form of one node's counters: seven `u64`s in [`NodeStats`] field
-/// order.
-fn put_node_stats(buf: &mut BytesMut, stats: &NodeStats) {
-    buf.put_u64_le(stats.rps_sent);
-    buf.put_u64_le(stats.wup_sent);
-    buf.put_u64_le(stats.news_sent);
-    buf.put_u64_le(stats.news_received);
-    buf.put_u64_le(stats.news_duplicates);
-    buf.put_u64_le(stats.news_liked);
-    buf.put_u64_le(stats.published);
-}
-
-fn get_node_stats(buf: &mut &[u8]) -> NodeStats {
-    NodeStats {
-        rps_sent: buf.get_u64_le(),
-        wup_sent: buf.get_u64_le(),
-        news_sent: buf.get_u64_le(),
-        news_received: buf.get_u64_le(),
-        news_duplicates: buf.get_u64_le(),
-        news_liked: buf.get_u64_le(),
-        published: buf.get_u64_le(),
-    }
-}
-
 /// Whether one message `from → to` is dropped at delivery time.
 ///
 /// Constant and Gilbert–Elliott losses draw one coin from the *receiver's*
@@ -796,86 +709,6 @@ fn message_dropped(
     }
 }
 
-/// Executes one command frame against the shard: `None` when the frame is
-/// a `Stop`, otherwise the encoded reply frame. The byte-stream dispatch
-/// point ([`crate::engine::exchange::stream::serve_stream`], which the
-/// `sim-shard-worker` binary runs over its TCP connection), and the one
-/// place mail changes form: inbound [`Bundle::Wire`] frames are decoded to
-/// typed mail before [`ShardState::handle`] (registering fresh news content
-/// in the shard's item store, like a real receiver), and the reply's typed
-/// outbound mail is wire-encoded after it (resolving news content from
-/// that store).
-pub fn handle_frame(state: &mut ShardState, frame: &[u8]) -> Option<Vec<u8>> {
-    let mut cmd = exchange::decode_command(frame);
-    match &mut cmd {
-        Command::Stop => return None,
-        Command::DeliverGossip { bundles, .. } | Command::DeliverNews { bundles, .. } => {
-            for bundle in bundles.iter_mut() {
-                decode_wire_bundle(bundle, &mut |item| {
-                    state.known_items.insert(item.id(), item);
-                });
-            }
-        }
-        _ => {}
-    }
-    let mut reply = state.handle(cmd);
-    if let Some(out) = reply.outbound_mut() {
-        for bundle in &mut out.bundles {
-            encode_mail_bundle(bundle, state.index as u32, &state.known_items);
-        }
-    }
-    Some(exchange::encode_reply(&reply))
-}
-
-/// Replaces a non-empty [`Bundle::Wire`] with the typed mail it carries
-/// (an empty one becomes empty mail). Each inner frame is decoded as a
-/// borrowed view over the frame and converted straight into its payload;
-/// each *distinct* news content is passed to `register` once per
-/// repetition run, and consecutive entries with identical content or
-/// profile bytes decode through a [`codec::NewsDecodeCache`], which turns a
-/// fan-out's repeated copies into `Arc` clones of one parse.
-///
-/// # Panics
-/// Panics on malformed frames: bundles only travel the engine's own
-/// transports, so corruption is an engine bug.
-fn decode_wire_bundle(bundle: &mut Bundle, register: &mut impl FnMut(NewsItem)) {
-    let Bundle::Wire(frame) = bundle else {
-        return;
-    };
-    let mut mail = Vec::new();
-    if !frame.is_empty() {
-        let view = codec::bundle_view(frame).expect("malformed shard bundle");
-        let mut cache = codec::NewsDecodeCache::default();
-        for entry in view {
-            let (to, inner) = entry.expect("malformed shard bundle entry");
-            let (from, payload, fresh_item) =
-                codec::decode_bundle_entry(inner, &mut cache).expect("malformed bundled message");
-            if let Some(item) = fresh_item {
-                register(item);
-            }
-            mail.push((to, from, payload));
-        }
-    }
-    *bundle = Bundle::Mail(mail);
-}
-
-/// Replaces non-empty [`Bundle::Mail`] from shard `from_shard` with its
-/// wire frame. News travels as content on the wire (receivers recompute
-/// ids), resolved through `items`.
-fn encode_mail_bundle(
-    bundle: &mut Bundle,
-    from_shard: u32,
-    // lint:allow(det-map) probed by id only
-    items: &HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
-) {
-    if let Bundle::Mail(mail) = bundle {
-        if !mail.is_empty() {
-            let frame = codec::encode_bundle(from_shard, mail, |id| items.get(&id).cloned());
-            *bundle = Bundle::Wire(frame);
-        }
-    }
-}
-
 /// The channel-worker serve loop: pull [`Command`] *values*, dispatch
 /// through [`ShardState::handle`], push [`Reply`] values — until a `Stop`
 /// command or the input closes.
@@ -884,8 +717,9 @@ fn encode_mail_bundle(
 /// space, so cross-shard mail arrives and leaves as typed
 /// [`Bundle::Mail`] values with its profile `Arc`s intact. Byte-stream
 /// workers reach the same [`ShardState::handle`] through
-/// [`handle_frame`], which converts at the boundary, so both transports
-/// execute identical shard code on identical mail.
+/// [`crate::engine::exchange::stream::handle_frame`], which converts at the
+/// boundary, so both transports execute identical shard code on identical
+/// mail.
 pub fn serve(
     state: &mut ShardState,
     mut next: impl FnMut() -> Option<Command>,
@@ -903,14 +737,16 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::config::{Protocol, SimConfig};
+    use crate::engine::exchange::stream::{decode_wire_bundle, encode_mail_bundle, handle_frame};
     use crate::scenario::Scenario;
+    use bytes::Bytes;
     use whatsup_core::{NewsMessage, SharedProfile};
     use whatsup_datasets::{survey, SurveyConfig};
 
     #[test]
     fn bundle_roundtrip_restores_mail_and_registers_items() {
         let item = NewsItem::new("t", "d", "l", 4, 2);
-        let mut items = HashMap::default(); // lint:allow(det-map) probed by id only
+        let mut items: HashMap<ItemId, NewsItem> = HashMap::new(); // lint:allow(det-map) probed by id only
         items.insert(item.id(), item.clone());
         let mail = vec![
             (
@@ -925,32 +761,35 @@ mod tests {
             ),
             (8u32, 5u32, Payload::WupRequest(vec![])),
         ];
+        let resolve = |id| items.get(&id).cloned();
         let mut bundle = Bundle::Mail(mail.clone());
-        encode_mail_bundle(&mut bundle, 0, &items);
+        encode_mail_bundle(&mut bundle, 0, resolve);
         assert!(matches!(bundle, Bundle::Wire(_)), "non-empty mail encodes");
         let mut registered = Vec::new();
-        decode_wire_bundle(&mut bundle, &mut |i| registered.push(i));
+        decode_wire_bundle(&mut bundle, &mut |i| registered.push(i)).unwrap();
         assert_eq!(bundle, Bundle::Mail(mail));
         assert_eq!(registered, vec![item]);
 
         let mut empty = Bundle::Wire(Bytes::new());
-        decode_wire_bundle(&mut empty, &mut |_| panic!("nothing to register"));
+        decode_wire_bundle(&mut empty, &mut |_| panic!("nothing to register")).unwrap();
         assert_eq!(empty, Bundle::Mail(Vec::new()));
-        encode_mail_bundle(&mut empty, 0, &items);
+        encode_mail_bundle(&mut empty, 0, resolve);
         assert_eq!(empty, Bundle::Mail(Vec::new()), "empty mail stays typed");
     }
 
     /// Runs `cmd` through the byte-stream boundary: command codec,
     /// [`handle_frame`], reply codec.
     fn via_frames(state: &mut ShardState, cmd: &Command) -> Reply {
-        let frame = handle_frame(state, &exchange::encode_command(cmd)).expect("not a Stop");
-        exchange::decode_reply(&frame)
+        let frame = handle_frame(state, &frames::encode_command(cmd))
+            .unwrap()
+            .expect("not a Stop");
+        frames::decode_reply(&frame).unwrap()
     }
 
     /// `bundles` with every wire frame decoded to typed mail.
     fn decoded(mut bundles: Vec<Bundle>) -> Vec<Bundle> {
         for b in &mut bundles {
-            decode_wire_bundle(b, &mut |_| {});
+            decode_wire_bundle(b, &mut |_| {}).unwrap();
         }
         bundles
     }

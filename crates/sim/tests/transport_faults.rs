@@ -1,10 +1,11 @@
 //! Fault injection for the worker/transport failure paths: a worker that
-//! is down, dies early, truncates a frame, or speaks the wrong protocol
-//! version must surface a typed error naming the endpoint — no hang, no
-//! panic — both for workers the driver spawns itself (`.multiprocess`)
-//! and for workers it dials (`.socket`); and a worker that loses its
-//! driver must exit non-zero with a one-line message instead of a panic
-//! backtrace.
+//! is down, dies early, truncates a frame, answers with bytes that do not
+//! decode, or speaks the wrong protocol version must surface a typed error
+//! naming the endpoint — no hang, no panic — both for workers the driver
+//! spawns itself (`.multiprocess`) and for workers it dials (`.socket`);
+//! and a worker that loses its driver or receives a malformed frame must
+//! exit non-zero with a one-line message instead of a panic backtrace or
+//! an allocation abort.
 
 mod common;
 
@@ -12,10 +13,13 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use whatsup_sim::engine::exchange::stream::{
-    encode_hello, read_frame, write_frame, PROTOCOL_VERSION,
+use whatsup_sim::engine::exchange::frames::{
+    decode_hello, encode_handshake, encode_hello, PROTOCOL_VERSION,
 };
-use whatsup_sim::{Protocol, Runner, SimConfig, Supervision};
+use whatsup_sim::engine::exchange::{read_frame, write_frame};
+use whatsup_sim::engine::{Partition, ShardInit};
+use whatsup_sim::scenario::{ChurnModel, LossModel};
+use whatsup_sim::{Oracle, Protocol, Runner, SimConfig, Supervision};
 
 fn dataset() -> whatsup_datasets::Dataset {
     whatsup_datasets::survey::generate(&whatsup_datasets::SurveyConfig::paper().scaled(0.08), 5)
@@ -127,6 +131,58 @@ fn truncated_reply_frame_fails_cleanly() {
     let msg = socket_run_err(vec![addr.clone()]);
     assert!(msg.contains(&addr), "error must name the address: {msg}");
     handle.join().expect("fake worker thread");
+}
+
+/// A fake worker that completes the handshake, reads the first command
+/// and answers it with bytes that are no reply frame at all.
+fn garbage_replier(mut stream: TcpStream) {
+    write_frame(&mut stream, &encode_hello(PROTOCOL_VERSION)).expect("send hello");
+    let _ = read_frame(&mut stream).expect("read handshake");
+    let _ = read_frame(&mut stream).expect("read first command");
+    write_frame(&mut stream, &[0xee, 1, 2, 3]).expect("send garbage");
+    // Hold the socket until the driver has given up on it.
+    let _ = read_frame(&mut stream);
+}
+
+#[test]
+fn malformed_reply_frame_fails_cleanly_naming_the_address() {
+    let (handle, addr) = fake_worker(garbage_replier);
+    let msg = socket_run_err(vec![addr.clone()]);
+    assert!(msg.contains(&addr), "error must name the address: {msg}");
+    assert!(msg.contains("malformed"), "error must say why: {msg}");
+    handle.join().expect("fake worker thread");
+}
+
+#[test]
+fn supervised_run_fails_on_a_malformed_reply_without_restarting() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = listener.try_clone().expect("clone listener");
+    let handle = std::thread::spawn(move || garbage_replier(server.accept().expect("accept").0));
+    let d = dataset();
+    let err = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
+        .config(cfg())
+        .socket(vec![addr.clone()])
+        .supervision(Supervision {
+            max_restarts: 3,
+            checkpoint_every: 2,
+            deadline: Duration::from_secs(10),
+            backoff: Duration::from_millis(1),
+            dial_window: Duration::from_millis(300),
+        })
+        .try_run()
+        .expect_err("a malformed reply must fail the run");
+    let msg = err.to_string();
+    assert!(msg.contains(&addr), "error must name the address: {msg}");
+    assert!(msg.contains("malformed"), "error must say why: {msg}");
+    handle.join().expect("fake worker thread");
+    // A restart would have redialed the address; the kernel queues such a
+    // connection on the still-open listener even though nobody accepts it.
+    listener.set_nonblocking(true).expect("nonblocking");
+    assert!(
+        matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the supervisor must not redial after a malformed frame"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -506,18 +562,73 @@ fn supervised_exhaustion_surfaces_the_original_error() {
 // Worker-side faults: a vanished driver must not leave a panic backtrace
 // ---------------------------------------------------------------------------
 
-fn assert_one_line_failure(child: std::process::Child, who: &str) {
+/// Waits for a worker and asserts it failed the orderly way: exit status 1
+/// (not a panic's 101, not a signal such as an allocation abort) and
+/// exactly one `sim-shard-worker:` line on stderr. Returns that line.
+fn assert_one_line_failure(child: std::process::Child, who: &str) -> String {
     let out = child.wait_with_output().expect("wait for worker");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "{who} must exit non-zero: {stderr}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{who} must exit 1: {stderr}");
     assert!(
         !stderr.contains("panicked"),
         "{who} must not panic: {stderr}"
     );
     assert!(
-        stderr.lines().any(|l| l.starts_with("sim-shard-worker:")),
+        stderr.lines().count() == 1 && stderr.starts_with("sim-shard-worker:"),
         "{who} must leave a one-line message: {stderr:?}"
     );
+    stderr
+}
+
+/// Connects to a listening worker, reads its hello and sends `handshake`.
+fn handshake_with(addr: &str, handshake: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let _ = read_frame(&mut stream).expect("read hello");
+    write_frame(&mut stream, handshake).expect("send handshake");
+    stream
+}
+
+#[test]
+fn socket_worker_rejects_a_truncated_handshake() {
+    let (child, addr) = common::spawn_listen_worker();
+    // Valid magic and version, then 6 bytes of a ShardInit that needs more.
+    let mut frame = encode_hello(PROTOCOL_VERSION);
+    frame.extend_from_slice(&[0; 6]);
+    let _stream = handshake_with(&addr, &frame);
+    let line = assert_one_line_failure(child, "listen worker");
+    assert!(line.contains("malformed frame"), "{line}");
+}
+
+#[test]
+fn socket_worker_rejects_a_forged_partition_count() {
+    let (child, addr) = common::spawn_listen_worker();
+    // Shard 0 of a partition claiming u32::MAX boundaries: refused before
+    // any allocation is sized from the count.
+    let mut frame = encode_hello(PROTOCOL_VERSION);
+    frame.extend_from_slice(&0u32.to_le_bytes());
+    frame.extend_from_slice(&u32::MAX.to_le_bytes());
+    let _stream = handshake_with(&addr, &frame);
+    let line = assert_one_line_failure(child, "listen worker");
+    assert!(line.contains("malformed frame"), "{line}");
+}
+
+#[test]
+fn socket_worker_rejects_an_unknown_opcode_after_a_valid_handshake() {
+    let (child, addr) = common::spawn_listen_worker();
+    let init = ShardInit {
+        index: 0,
+        partition: Partition::new(2, 1),
+        seed: 1,
+        loss: LossModel::Constant { p: 0.0 },
+        churn: ChurnModel::None,
+        params: whatsup_core::Params::default(),
+        oracle: Oracle::new(whatsup_datasets::LikeMatrix::new(2, 1), Default::default()),
+        bootstrap: vec![vec![1], vec![0]],
+    };
+    let mut stream = handshake_with(&addr, &encode_handshake(&init));
+    write_frame(&mut stream, &[0xee]).expect("send unknown opcode");
+    let line = assert_one_line_failure(child, "listen worker");
+    assert!(line.contains("unknown frame tag 238"), "{line}");
 }
 
 #[test]
@@ -535,7 +646,7 @@ fn socket_worker_rejects_a_version_skewed_driver() {
         .expect("read hello")
         .expect("hello frame");
     assert_eq!(
-        whatsup_sim::engine::exchange::stream::decode_hello(&hello).expect("worker hello"),
+        decode_hello(&hello).expect("worker hello"),
         PROTOCOL_VERSION
     );
     // A handshake header with a skewed version and no init: the version

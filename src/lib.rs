@@ -20,13 +20,13 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`core`](whatsup_core) | profiles, similarity metrics, WUP+BEEP node (sans-io) |
-//! | [`gossip`](whatsup_gossip) | random peer sampling + clustering substrate |
-//! | [`graph`](whatsup_graph) | SCC/WCC/clustering-coefficient analytics, generators |
-//! | [`datasets`](whatsup_datasets) | synthetic Arxiv/Digg/survey workloads |
-//! | [`sim`](whatsup_sim) | cycle simulator, baselines, paper experiments |
-//! | [`net`](whatsup_net) | wire codec, ModelNet-like emulator, UDP swarm |
-//! | [`metrics`](whatsup_metrics) | precision/recall/F1, histograms, tables |
+//! | [`core`] | profiles, similarity metrics, WUP+BEEP node (sans-io) |
+//! | [`gossip`] | random peer sampling + clustering substrate |
+//! | [`graph`] | SCC/WCC/clustering-coefficient analytics, generators |
+//! | [`datasets`] | synthetic Arxiv/Digg/survey workloads |
+//! | [`sim`] | cycle simulator, baselines, paper experiments |
+//! | [`net`] | wire codec, ModelNet-like emulator, UDP swarm |
+//! | [`metrics`] | precision/recall/F1, histograms, tables |
 //!
 //! ## Quickstart
 //!
